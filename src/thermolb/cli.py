@@ -10,7 +10,7 @@ import sys
 
 from . import bench as bench_mod
 from . import io as io_mod
-from . import planner, validate
+from . import native, planner, validate
 from .errors import ConfigurationError, ThermoLBError
 from .kernels import PhysicsParams
 from .sim import SimConfig, run
@@ -81,7 +81,7 @@ def cmd_simulate(args):
     io_mod.write_macro_csv(os.path.join(outdir, "macro_final.csv"),
                            result.macro)
     lines = [f"steps: {sim.steps}", f"wall_seconds: {result.wall_seconds:.6f}",
-             f"MLUPS: {result.mlups:.3f}"]
+             f"MLUPS: {result.mlups:.3f}", f"kernels: {native.kernel_path()}"]
     if cfg.get("tdp_watts") and result.wall_seconds > 0 and sim.steps > 0:
         sites_per_s = sim.Lx * sim.Ly * sim.steps / result.wall_seconds
         lines.append(

@@ -4,12 +4,18 @@ Every per-site reduction over populations is written as an explicit loop in a
 fixed l order, so results are bit-identical for any region shape.  That is
 the property that lets staged and fused schedules, and any tiling of the
 lattice, produce the same state to the last bit.
+
+propagate_collide_fused, the entry point the runtime steps with, also has a
+compiled form (fused.c, loaded by native.py) that mirrors these expressions
+term for term and gives the same bits; the numpy code here is its fallback
+and its reference.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .errors import ContractViolation, DegenerateStateError, DomainError
 from .geometry import LatticeGeometry, PopulationField
 from .velocity_set import VelocitySet
@@ -177,6 +183,16 @@ def propagate(prv: PopulationField, nxt: PopulationField, vs: VelocitySet, regio
         dst[l, xs, ys] = src[l, xs.start - dx : xs.stop - dx, ys.start - dy : ys.stop - dy]
 
 
+def _wall_equilibrium(block, Twall, params: PhysicsParams, vs: VelocitySet):
+    """Equilibrium at the block's own density, zero velocity and Twall."""
+    rho = np.zeros(block.shape[1:])
+    for l in range(vs.Q):
+        rho = rho + block[l]
+    zero = np.zeros_like(rho)
+    Tw = np.full_like(rho, Twall)
+    return equilibrium(rho, zero, zero, Tw, vs, order=params.eq_order)
+
+
 def bc(field: PopulationField, params: PhysicsParams, vs: VelocitySet,
        top=True, bottom=True, x_range=None):
     """Rewrite the 3 rows nearest each wall to fixed temperature, zero velocity.
@@ -194,33 +210,36 @@ def bc(field: PopulationField, params: PhysicsParams, vs: VelocitySet,
         rows.append(slice(geom.Hy + geom.Ly - WALL_ROWS, geom.Hy + geom.Ly))
     walls = [params.Twall_bot, params.Twall_top]
     for ys, Twall in zip(rows, walls if bottom else [params.Twall_top]):
-        block = pops[:, xs, ys]
-        rho = np.zeros(block.shape[1:])
-        for l in range(vs.Q):
-            rho = rho + block[l]
-        zero = np.zeros_like(rho)
-        Tw = np.full_like(rho, Twall)
-        pops[:, xs, ys] = equilibrium(rho, zero, zero, Tw, vs, order=params.eq_order)
+        pops[:, xs, ys] = _wall_equilibrium(pops[:, xs, ys], Twall, params, vs)
 
 
 def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
                             params: PhysicsParams, vs: VelocitySet,
-                            region=None, exclude_y=()):
-    """Gather + collide in one pass; bit-identical to staged propagate->collide.
+                            region=None, walls=()):
+    """Gather, wall rewrite and collide in one pass over a region.
 
-    exclude_y lists padded-y [lo, hi) ranges (the bc rows) the region must not
-    touch.
+    walls lists (lo, hi, Twall) padded-y ranges.  The region's rows inside one
+    are set to the wall equilibrium (gathered density, zero velocity, Twall)
+    before the collision, so the result is bit-identical to staged
+    propagate -> bc -> collide.  The compiled kernel does the work when it is
+    available; otherwise, or when it refuses the region (a degenerate state),
+    the numpy path below runs and raises the typed error.  Both paths give
+    the same bits.
     """
     geom = prv.geom
     if region is None:
         region = (geom.phys_x, geom.phys_y)
     xs, ys = _check_region(geom, region)
-    for lo, hi in exclude_y:
-        if ys.start < hi and ys.stop > lo:
-            raise ContractViolation("fused region overlaps bc rows")
     if xs.stop <= xs.start or ys.stop <= ys.start:
         return
+    if native.fused(prv, nxt, params, vs, xs, ys, walls):
+        return
     scratch = _gather(prv.pops, vs, xs, ys)
+    for lo, hi, Twall in walls:
+        rows = slice(max(lo, ys.start) - ys.start, min(hi, ys.stop) - ys.start)
+        if rows.start < rows.stop:
+            scratch[:, :, rows] = _wall_equilibrium(scratch[:, :, rows], Twall,
+                                                    params, vs)
     nxt.pops[:, xs, ys] = collide(scratch, params, vs)
 
 

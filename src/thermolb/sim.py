@@ -38,6 +38,19 @@ class SimConfig:
     recv_timeout: float = 60.0
 
     def __post_init__(self):
+        if self.Np < 1:
+            raise ConfigurationError(f"Np must be at least 1, got {self.Np}")
+        if self.steps < 0:
+            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+        if self.snapshot_every < 0:
+            raise ConfigurationError(
+                f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        if self.tiling != "1d" and not (
+                isinstance(self.tiling, tuple) and len(self.tiling) == 2
+                and all(isinstance(n, int) and n > 0 for n in self.tiling)):
+            raise ConfigurationError(
+                f"tiling must be '1d' or a tuple of two positive ints, "
+                f"got {self.tiling!r}")
         if self.schedule not in ("staged", "overlapped"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         if self.walls and self.periodic_y:

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from thermolb import native
 from thermolb.cli import main
 from thermolb.io import (load_config, read_bandwidth_table,
                          write_bandwidth_table)
@@ -45,6 +46,19 @@ def test_simulate_writes_artifacts(tmp_path):
     macro = read_csv(out / "macro_final.csv")
     assert macro[0][0].startswith("x")
     assert len(macro) == 1 + 16 * 16
+
+
+@pytest.mark.parametrize("force_numpy", [False, True])
+def test_simulate_summary_names_kernel_path(tmp_path, monkeypatch,
+                                            force_numpy):
+    if force_numpy:
+        monkeypatch.setattr(native, "_lib", None)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--lx", "8", "--ly", "8", "--steps", "1",
+               "--init", "uniform", "--outdir", str(out)])
+    assert rc == 0
+    want = "numpy" if force_numpy or native.load() is None else "native"
+    assert f"kernels: {want}" in (out / "summary.txt").read_text().splitlines()
 
 
 def test_simulate_config_file_with_flag_override(tmp_path):

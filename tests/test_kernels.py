@@ -321,10 +321,19 @@ def test_fused_single_site(d2q9):
     assert np.array_equal(nxt.pops[:, g.Hx + 2, g.Hy + 2], want[:, 0, 0])
 
 
-def test_fused_rejects_bc_rows(d2q37):
-    params = PhysicsParams(tau=0.8)
-    g, prv, nxt = make_pair(d2q37)
-    with pytest.raises(ContractViolation):
-        propagate_collide_fused(prv, nxt, params, d2q37,
-                                (g.phys_x, g.phys_y),
-                                exclude_y=[(g.Hy, g.Hy + 3)])
+def test_fused_wall_rows_match_staged(d2q37):
+    # a region straddling each wall range equals propagate -> bc -> collide
+    params = PhysicsParams(tau=0.8, gy=-1e-4, Twall_top=0.6, Twall_bot=0.8)
+    g, prv, nxt = make_pair(d2q37, 8, 10)
+    prv.pops[...] = random_state(g, d2q37, seed=31)
+    periodic_fill(prv)
+    ref = type(nxt)(g, "nxt")
+    propagate(prv, ref, d2q37)
+    bc(ref, params, d2q37)
+    walls = ((g.Hy, g.Hy + 3, params.Twall_bot),
+             (g.Hy + g.Ly - 3, g.Hy + g.Ly, params.Twall_top))
+    xs = slice(g.Hx + 1, g.Hx + 6)
+    for ys in (slice(g.Hy + 1, g.Hy + 5), slice(g.Hy + g.Ly - 4, g.Hy + g.Ly)):
+        want = collide(ref.pops[:, xs, ys], params, d2q37)
+        propagate_collide_fused(prv, nxt, params, d2q37, (xs, ys), walls)
+        assert np.array_equal(nxt.pops[:, xs, ys], want)

@@ -294,3 +294,26 @@ def test_deadlock_detection_surfaces():
     with pytest.raises(DeadlockError) as err:
         fab.recv(2, 1, "y+", 5)
     assert err.value.rank == 2
+
+
+# ----------------------------------------------------------------- config --
+
+def test_config_rejects_zero_ranks():
+    with pytest.raises(ConfigurationError, match="Np"):
+        SimConfig(Lx=8, Ly=8, Np=0)
+
+
+def test_config_rejects_negative_steps():
+    with pytest.raises(ConfigurationError, match="steps"):
+        SimConfig(Lx=8, Ly=8, steps=-2)
+
+
+def test_config_rejects_negative_snapshot_every():
+    with pytest.raises(ConfigurationError, match="snapshot_every"):
+        SimConfig(Lx=8, Ly=8, snapshot_every=-1)
+
+
+@pytest.mark.parametrize("tiling", [[2, 1], (2,), (2, 0), (2.0, 1), "2x1"])
+def test_config_rejects_bad_tiling(tiling):
+    with pytest.raises(ConfigurationError, match="tiling"):
+        SimConfig(Lx=8, Ly=8, Np=2, tiling=tiling)
