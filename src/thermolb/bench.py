@@ -7,7 +7,6 @@ a monotonic clock with warm-up iterations discarded.
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +62,8 @@ def _random_field(geom, vs, seed=0):
     return prv, nxt
 
 
-def bench_layout(Lx, Ly, kernel="propagate", layout="soa", workers=1,
-                 model="D2Q37", reps=MIN_REPS, seed=0):
+def bench_layout(Lx, Ly, kernel="propagate", layout="soa", model="D2Q37",
+                 reps=MIN_REPS, seed=0):
     """Time one kernel over the full lattice in the given layout.
 
     The run is gated on producing bit-identical output to the SoA reference,
@@ -82,16 +81,7 @@ def bench_layout(Lx, Ly, kernel="propagate", layout="soa", workers=1,
         prv, nxt = fields[lay]
         g = geoms[lay]
         if kernel == "propagate":
-            if workers == 1:
-                propagate(prv, nxt, vs)
-            else:
-                chunks = np.array_split(np.arange(g.Hx, g.Hx + g.Lx), workers)
-                with ThreadPoolExecutor(workers) as pool:
-                    list(pool.map(
-                        lambda ch: propagate(
-                            prv, nxt, vs,
-                            (slice(ch[0], ch[-1] + 1), g.phys_y)),
-                        [c for c in chunks if c.size]))
+            propagate(prv, nxt, vs)
             return nxt.pops[:, g.phys_x, g.phys_y]
         block = prv.pops[:, g.phys_x, g.phys_y]
         return collide(block, params, vs)
@@ -103,7 +93,7 @@ def bench_layout(Lx, Ly, kernel="propagate", layout="soa", workers=1,
 
     times = _timed(lambda: run_once(layout), reps)
     sites_per_s = Lx * Ly / statistics.median(times)
-    return BenchResult(f"{kernel}_{layout}", {"size": (Lx, Ly), "workers": workers},
+    return BenchResult(f"{kernel}_{layout}", {"size": (Lx, Ly)},
                        reps, times, sites_per_s, "sites/s")
 
 
@@ -136,56 +126,51 @@ def bench_misalignment(buffer_bytes, offset, mode="mraw", reps=MIN_REPS):
                        reps, times, gbps, "bytes/s")
 
 
-def _exchange_pair(edge, direction, model, seed=0):
-    """Two ranks sharing one face; returns (workers, bytes per full exchange)."""
+def _exchange_pair(edge, axis, model, seed=0):
+    """Two ranks sharing the faces along one axis; returns (workers, bytes
+    per full exchange along it)."""
     vs = build_velocity_set(model)
     params = PhysicsParams(tau=1.0)
     fabric = Fabric(2, timeout=300.0)
-    if direction == "x":
-        tiles = decompose(2 * edge, edge, 2, (2, 1), periodic_y=True)
-    else:
-        tiles = decompose(edge, 2 * edge, 2, (1, 2), periodic_y=True)
+    grid = (2, 1) if axis == 0 else (1, 2)
+    tiles = decompose(grid[0] * edge, grid[1] * edge, 2, grid, periodic_y=True)
     workers = []
     rng = np.random.default_rng(seed)
     for tile in tiles:
         w = RankWorker(tile, vs, params, fabric, walls=False)
         w.prv.pops[...] = 0.5 + rng.random(w.prv.pops.shape)
         workers.append(w)
-    if direction == "x":
-        nbytes = 2 * sum(8 * b.size for b in
-                         (workers[0].buffers[("x", 1)],
-                          workers[0].buffers[("x", -1)]))
-    else:
-        nbytes = 2 * sum(8 * b.size for b in
-                         (workers[0].buffers[("y", 1)],
-                          workers[0].buffers[("y", -1)]))
+    nbytes = sum(face.send_index.size * 8 for w in workers
+                 for face in w.faces.values() if face.axis == axis)
     return workers, nbytes
 
 
-def _verify_exchange(workers, direction):
+def _exchange(workers, step, axis):
+    for w in workers:
+        w.send(w.prv, step, axis)
+    for w in workers:
+        w.recv(w.prv, step, axis)
+
+
+def _verify_exchange(workers, axis):
+    """Rank 0's first low halo slab along axis must hold rank 1's last
+    physical slab, over the span the face covers: the full padded height
+    for X, the physical columns for Y."""
+    _exchange(workers, 10**6, axis)  # out-of-band step tag
     w0, w1 = workers
-    w0_f, w1_f = w0.prv, w1.prv
-    step = 10**6  # out-of-band step tag for the verification round
-    if direction == "x":
-        for w in workers:
-            w.pbc_c_send(w.prv, step)
-        for w in workers:
-            w.pbc_c_recv(w.prv, step)
-        g = w0.geom
-        ls = w0.plans[(0, 1)][0]
-        expect = w1_f.pops[ls, g.Hx + g.Lx - 1, :]
-        got = w0_f.pops[ls, g.Hx - 1, :]
-    else:
-        for w in workers:
-            w.pbc_nc_send(w.prv, step)
-        for w in workers:
-            w.pbc_nc_recv(w.prv, step)
-        g = w0.geom
-        ls = w0.plans[(1, 1)][0]
-        expect = w1_f.pops[ls, g.phys_x, g.Hy + g.Ly - 1]
-        got = w0_f.pops[ls, g.phys_x, g.Hy - 1]
-    if not np.array_equal(np.asarray(got), np.asarray(expect)):
-        raise ContractViolation(f"{direction} halo exchange verification failed")
+    g = w0.geom
+    ls = w0.plans[(axis, 1)][0]
+    first = (g.Hx, g.Hy)[axis]
+    last = first + (g.Lx, g.Ly)[axis] - 1
+
+    def slab(w, at):
+        index = [g.phys_x, slice(None)]
+        index[axis] = at
+        return w.prv.pops[(ls, *index)]
+
+    if not np.array_equal(slab(w0, first - 1), slab(w1, last)):
+        raise ContractViolation(
+            f"{'xy'[axis]} halo exchange verification failed")
 
 
 def bench_halo_exchange(edges, model="D2Q37", reps=7, inner=4):
@@ -196,25 +181,16 @@ def bench_halo_exchange(edges, model="D2Q37", reps=7, inner=4):
     """
     results = []
     tables = {"contiguous": [], "non_contiguous": []}
-    for direction, kind in (("x", "contiguous"), ("y", "non_contiguous")):
+    for axis, kind in ((0, "contiguous"), (1, "non_contiguous")):
         for edge in edges:
-            workers, nbytes = _exchange_pair(edge, direction, model)
-            _verify_exchange(workers, direction)
+            workers, nbytes = _exchange_pair(edge, axis, model)
+            _verify_exchange(workers, axis)
             counter = [0]
 
             def one_round():
                 for _ in range(inner):
-                    s = counter[0] = counter[0] + 1
-                    if direction == "x":
-                        for w in workers:
-                            w.pbc_c_send(w.prv, s)
-                        for w in workers:
-                            w.pbc_c_recv(w.prv, s)
-                    else:
-                        for w in workers:
-                            w.pbc_nc_send(w.prv, s)
-                        for w in workers:
-                            w.pbc_nc_recv(w.prv, s)
+                    counter[0] += 1
+                    _exchange(workers, counter[0], axis)
 
             times = _timed(one_round, reps)
             bw = inner * nbytes / statistics.median(times)
@@ -228,6 +204,6 @@ def bench_halo_exchange(edges, model="D2Q37", reps=7, inner=4):
 def cost_input_from_tables(tables, Lx, Ly, Np, beta, S=26 * 8):
     """Planner input using measured bandwidths: X faces are the contiguous
     direction in this storage order, Y faces the non-contiguous one."""
-    bx = BandwidthTable(*zip(*[(s, b) for s, b in tables["contiguous"]]))
-    by = BandwidthTable(*zip(*[(s, b) for s, b in tables["non_contiguous"]]))
+    bx = BandwidthTable(*zip(*tables["contiguous"]))
+    by = BandwidthTable(*zip(*tables["non_contiguous"]))
     return CostModelInput(Lx=Lx, Ly=Ly, Np=Np, Bx=bx, By=by, beta=beta, S=S)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 import argparse
 import os
 import sys
+import traceback
 
 from . import bench as bench_mod
 from . import io as io_mod
@@ -19,10 +20,12 @@ from .sim import SimConfig, run
 def _parse_tiling(text, Np):
     if text in (None, "1d"):
         return "1d", Np
-    if "x" in text:
-        nx, ny = (int(p) for p in text.split("x"))
-        return (nx, ny), nx * ny
-    raise ConfigurationError(f"tiling must be '1d' or 'NXxNY', got {text!r}")
+    try:
+        nx, ny = (int(p) for p in str(text).split("x"))
+    except ValueError:
+        raise ConfigurationError(
+            f"tiling must be '1d' or 'NXxNY', got {text!r}") from None
+    return (nx, ny), nx * ny
 
 
 def _merge(config, args, keys):
@@ -35,12 +38,21 @@ def _merge(config, args, keys):
     return out
 
 
+def _extents(cfg):
+    """The required lattice extents (lx, ly) as ints."""
+    for key in ("lx", "ly"):
+        if cfg.get(key) is None:
+            raise ConfigurationError(f"missing required key {key!r}")
+    return int(cfg["lx"]), int(cfg["ly"])
+
+
 def cmd_simulate(args):
     config = io_mod.load_config(args.config) if args.config else {}
     keys = ["lx", "ly", "model", "tiling", "np", "schedule", "steps", "tau",
             "gx", "gy", "twall_top", "twall_bot", "init", "layout", "seed",
             "snapshot_every", "outdir", "tdp_watts", "walls"]
     cfg = _merge(config, args, keys)
+    Lx, Ly = _extents(cfg)
     Np = int(cfg.get("np", 1))
     tiling, Np = _parse_tiling(cfg.get("tiling"), Np)
     vsname = cfg.get("model", "D2Q37")
@@ -56,7 +68,7 @@ def cmd_simulate(args):
     if "seed" in cfg and cfg["seed"] is not None:
         init_kwargs.setdefault("seed", int(cfg["seed"]))
     sim = SimConfig(
-        Lx=int(cfg["lx"]), Ly=int(cfg["ly"]), model=vsname, tiling=tiling,
+        Lx=Lx, Ly=Ly, model=vsname, tiling=tiling,
         Np=Np, schedule=cfg.get("schedule", "overlapped"),
         steps=int(cfg.get("steps", 0)), params=params, walls=walls,
         periodic_y=not walls, layout=cfg.get("layout", "soa"),
@@ -97,19 +109,19 @@ def cmd_plan(args):
     config = io_mod.load_config(args.config) if args.config else {}
     cfg = _merge(config, args, ["lx", "ly", "beta", "bx", "by", "s",
                                 "np_list", "bandwidth_table", "out"])
+    Lx, Ly = _extents(cfg)
+    common = dict(Lx=Lx, Ly=Ly, Np=1,
+                  beta=float(cfg.get("beta", 1e-8)),
+                  S=float(cfg.get("s", planner.DEFAULT_S)))
     if cfg.get("bandwidth_table"):
-        tables = io_mod.read_bandwidth_table(cfg["bandwidth_table"])
-        bx = planner.BandwidthTable(*zip(*tables["contiguous"]))
-        by = planner.BandwidthTable(*zip(*tables["non_contiguous"]))
+        inp = bench_mod.cost_input_from_tables(
+            io_mod.read_bandwidth_table(cfg["bandwidth_table"]), **common)
     else:
-        bx = float(cfg.get("bx", 1e9))
-        by = float(cfg.get("by", 1e9))
+        inp = planner.CostModelInput(Bx=float(cfg.get("bx", 1e9)),
+                                     By=float(cfg.get("by", 1e9)), **common)
     np_list = cfg.get("np_list", "1,2,4,8,16,32")
     if isinstance(np_list, str):
         np_list = [int(p) for p in np_list.split(",")]
-    inp = planner.CostModelInput(
-        Lx=int(cfg["lx"]), Ly=int(cfg["ly"]), Np=1, Bx=bx, By=by,
-        beta=float(cfg.get("beta", 1e-8)), S=float(cfg.get("s", planner.DEFAULT_S)))
     rows = planner.scaling_curve(inp, np_list)
     out = cfg.get("out", "plan.csv")
     io_mod.write_table(
@@ -130,7 +142,7 @@ def cmd_bench(args):
         for layout in ("soa", "aos"):
             for kernel in ("propagate", "collide"):
                 r = bench_mod.bench_layout(args.size, args.size, kernel=kernel,
-                                           layout=layout, workers=args.workers)
+                                           layout=layout)
                 rows.append([kernel, layout, r.repetitions, repr(r.median),
                              repr(r.min), repr(r.max), repr(r.metric)])
         io_mod.write_table(out, ["kernel", "layout", "reps", "median [s]",
@@ -217,7 +229,6 @@ def build_parser():
     s = sub.add_parser("bench", help="micro-benchmarks")
     s.add_argument("which", choices=["layout", "misalignment", "halo"])
     s.add_argument("--size", type=int, default=256)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--bytes", type=int, default=1 << 24)
     s.add_argument("--edges", default="64,128,256")
     s.add_argument("--out")
@@ -235,11 +246,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, KeyError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ThermoLBError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except Exception:
+        traceback.print_exc()
         return 3
 
 

@@ -7,20 +7,24 @@ a chain with walls at the ends (or a ring when periodic_y is set).
 
 Only populations whose hop component crosses a face are exchanged: for halo
 depth d the set {l : c_l . n >= d}, which for D2Q37 amounts to 26 values per
-boundary site across the 3-deep halo.  The Y (non-contiguous) exchange covers
-physical columns only and runs before the X (contiguous) exchange, so corner
-halo cells pick up diagonal-neighbor data from the forwarded columns.
+boundary site across the 3-deep halo.  Each worker builds a face table once,
+whose flat storage indices make every pack one gather and every unpack one
+scatter, for either axis and layout.  The Y (non-contiguous) faces cover
+physical columns only and are exchanged before the X (contiguous) faces,
+which span the full padded height, so corner halo cells pick up
+diagonal-neighbor data from the forwarded columns.
 """
 
 import queue
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigurationError, DeadlockError, ProtocolError,
-                     ThermoLBError)
+from .errors import (ConfigurationError, ContractViolation, DeadlockError,
+                     ProtocolError, ThermoLBError)
 from .geometry import LatticeGeometry, allocate_field, swap_buffers
 # The step calls only propagate_collide_fused and count_negative.  propagate,
 # collide and bc stay imported because the benchmark's span tracer
@@ -165,6 +169,25 @@ class Fabric:
         self.abort.set()
 
 
+class Face(NamedTuple):
+    """One entry of a rank's face table.  sign +1 sends the up (Y) or right
+    (X) edge to dst and fills the low halo from src; sign -1 mirrors both.
+    The indices are flat storage offsets, in payload order."""
+
+    axis: int               # 0 = X (contiguous), 1 = Y (non-contiguous)
+    sign: int
+    dst: "int | None"
+    src: "int | None"
+    tag: str
+    send_index: np.ndarray
+    halo_index: np.ndarray
+
+
+# (axis, sign) -> (neighbor sent to, neighbor received from); Y before X.
+_FACES = {(1, 1): ("up", "down"), (1, -1): ("down", "up"),
+          (0, 1): ("right", "left"), (0, -1): ("left", "right")}
+
+
 class RankWorker:
     """One rank: owns a tile's double buffer and runs the step loop."""
 
@@ -183,111 +206,89 @@ class RankWorker:
         self.plans = face_plans(vs, halo)
         self.halo = halo
         self.wall_rows = self._wall_rows()
+        self.faces = self._face_table()
         self.metrics = []
         self.snapshots = []
-        # Persistent staging buffers, one per face, sized once at startup.
-        g = self.geom
-        self.buffers = {}
-        for sign in (1, -1):
-            n = sum(len(ls) for ls in self.plans[(0, sign)]) * g.NY
-            self.buffers[("x", sign)] = np.empty(n)
-            n = sum(len(ls) for ls in self.plans[(1, sign)]) * g.Lx
-            self.buffers[("y", sign)] = np.empty(n)
 
     # -- halo exchange -----------------------------------------------------
 
-    def _x_col(self, d, side):
-        g = self.geom
-        return g.Hx + g.Lx - d if side == "send+" else (
-            g.Hx + d - 1 if side == "send-" else (
-                g.Hx - d if side == "halo-" else g.Hx + g.Lx - 1 + d))
+    def _face_table(self):
+        """Build the four faces, Y before X; reject tiles too thin to
+        exchange or to hold their wall rows."""
+        g, t = self.geom, self.tile
+        for field in (self.prv, self.nxt):
+            if not np.may_share_memory(field.flat, field.data):
+                raise ContractViolation(
+                    f"rank {t.rank}: population storage is not contiguous")
+        if self.wall_rows and g.Ly < WALL_ROWS:
+            raise ConfigurationError(
+                f"rank {t.rank}: tile Y extent {g.Ly} is narrower than the "
+                f"{WALL_ROWS} wall rows")
+        pops = self.prv.pops
+        strides = [s // pops.itemsize for s in pops.strides]   # (l, x, y)
+        spans = (np.arange(g.NY), np.arange(g.Hx, g.Hx + g.Lx))
+        faces = {}
+        for (axis, sign), (to, frm) in _FACES.items():
+            dst, src = t.neighbors[to], t.neighbors[frm]
+            h, n = (g.Hx, g.Hy)[axis], (g.Lx, g.Ly)[axis]
+            if (dst is not None or src is not None) and n < self.vs.max_hop:
+                raise ConfigurationError(
+                    f"rank {t.rank}: tile {'XY'[axis]} extent {n} is "
+                    f"narrower than the stencil reach {self.vs.max_hop}")
+            send, fill = [], []
+            for d, ls in enumerate(self.plans[(axis, sign)], start=1):
+                base = (ls[:, None] * strides[0]
+                        + spans[axis][None, :] * strides[2 - axis])
+                send.append(base + (h + n - d if sign == 1 else h + d - 1)
+                            * strides[1 + axis])
+                fill.append(base + (h - d if sign == 1 else h + n - 1 + d)
+                            * strides[1 + axis])
+            faces[(axis, sign)] = Face(
+                axis, sign, dst, src, "xy"[axis] + ("+" if sign == 1 else "-"),
+                np.concatenate([i.ravel() for i in send]),
+                np.concatenate([i.ravel() for i in fill]))
+        return faces
 
+    def _unpack(self, f, axis, sign, payload):
+        face = self.faces[(axis, sign)]
+        if payload.size != face.halo_index.size:
+            raise ProtocolError(f"rank {self.tile.rank}: "
+                                f"{'XY'[axis]} payload size mismatch")
+        f.flat[face.halo_index] = payload
+
+    # perfbench's span tracer wraps these four names; send and recv look
+    # them up on the worker at call time so the wrappers see every call.
     def pack_x(self, f, sign):
-        """Gather the outgoing X-face columns (full height) into staging."""
-        g, buf, off = self.geom, self.buffers[("x", sign)], 0
-        pops = f.pops
-        for d, ls in enumerate(self.plans[(0, sign)], start=1):
-            col = self._x_col(d, "send+" if sign == 1 else "send-")
-            n = len(ls) * g.NY
-            buf[off:off + n] = pops[ls, col, :].reshape(-1)
-            off += n
-        return buf
+        return f.flat.take(self.faces[(0, sign)].send_index)
 
     def unpack_x(self, f, sign, payload):
-        """Scatter a received X payload into this rank's halo columns.
-
-        sign is the direction the data travelled: +1 means it came from the
-        left neighbor and fills the low-x halo.
-        """
-        g, off = self.geom, 0
-        if payload.size != self.buffers[("x", sign)].size:
-            raise ProtocolError(f"rank {self.tile.rank}: X payload size mismatch")
-        pops = f.pops
-        for d, ls in enumerate(self.plans[(0, sign)], start=1):
-            col = self._x_col(d, "halo-" if sign == 1 else "halo+")
-            n = len(ls) * g.NY
-            pops[ls, col, :] = payload[off:off + n].reshape(len(ls), g.NY)
-            off += n
+        self._unpack(f, 0, sign, payload)
 
     def pack_y(self, f, sign):
-        """Gather the outgoing Y-face rows (physical columns only)."""
-        g, buf, off = self.geom, self.buffers[("y", sign)], 0
-        pops = f.pops
-        for e, ls in enumerate(self.plans[(1, sign)], start=1):
-            row = g.Hy + g.Ly - e if sign == 1 else g.Hy + e - 1
-            n = len(ls) * g.Lx
-            buf[off:off + n] = pops[ls, g.phys_x, row].reshape(-1)
-            off += n
-        return buf
+        return f.flat.take(self.faces[(1, sign)].send_index)
 
     def unpack_y(self, f, sign, payload):
-        g, off = self.geom, 0
-        if payload.size != self.buffers[("y", sign)].size:
-            raise ProtocolError(f"rank {self.tile.rank}: Y payload size mismatch")
-        pops = f.pops
-        for e, ls in enumerate(self.plans[(1, sign)], start=1):
-            row = g.Hy - e if sign == 1 else g.Hy + g.Ly - 1 + e
-            n = len(ls) * g.Lx
-            pops[ls, g.phys_x, row] = payload[off:off + n].reshape(len(ls), g.Lx)
-            off += n
+        self._unpack(f, 1, sign, payload)
 
-    def pbc_nc_send(self, f, step):
-        nb = self.tile.neighbors
-        if nb["up"] is not None:
-            self.fabric.send(self.tile.rank, nb["up"], "y+", step,
-                             self.pack_y(f, 1).copy())
-        if nb["down"] is not None:
-            self.fabric.send(self.tile.rank, nb["down"], "y-", step,
-                             self.pack_y(f, -1).copy())
+    def send(self, f, step, axis):
+        """Pack and post this rank's faces along axis."""
+        pack = self.pack_y if axis else self.pack_x
+        for face in self.faces.values():
+            if face.axis == axis and face.dst is not None:
+                self.fabric.send(self.tile.rank, face.dst, face.tag, step,
+                                 pack(f, face.sign))
 
-    def pbc_nc_recv(self, f, step):
-        nb = self.tile.neighbors
-        if nb["down"] is not None:
-            self.unpack_y(f, 1, self.fabric.recv(self.tile.rank, nb["down"], "y+", step))
-        if nb["up"] is not None:
-            self.unpack_y(f, -1, self.fabric.recv(self.tile.rank, nb["up"], "y-", step))
+    def recv(self, f, step, axis):
+        """Receive and unpack this rank's halos along axis."""
+        unpack = self.unpack_y if axis else self.unpack_x
+        for face in self.faces.values():
+            if face.axis == axis and face.src is not None:
+                unpack(f, face.sign, self.fabric.recv(
+                    self.tile.rank, face.src, face.tag, step))
 
-    def pbc_nc(self, f, step):
-        """Exchange non-contiguous (Y) halos via pack / transfer / unpack."""
-        self.pbc_nc_send(f, step)
-        self.pbc_nc_recv(f, step)
-
-    def pbc_c_send(self, f, step):
-        nb = self.tile.neighbors
-        self.fabric.send(self.tile.rank, nb["right"], "x+", step,
-                         self.pack_x(f, 1).copy())
-        self.fabric.send(self.tile.rank, nb["left"], "x-", step,
-                         self.pack_x(f, -1).copy())
-
-    def pbc_c_recv(self, f, step):
-        nb = self.tile.neighbors
-        self.unpack_x(f, 1, self.fabric.recv(self.tile.rank, nb["left"], "x+", step))
-        self.unpack_x(f, -1, self.fabric.recv(self.tile.rank, nb["right"], "x-", step))
-
-    def pbc_c(self, f, step):
-        """Exchange contiguous (X) halo columns around the periodic ring."""
-        self.pbc_c_send(f, step)
-        self.pbc_c_recv(f, step)
+    def exchange(self, f, step, axis):
+        self.send(f, step, axis)
+        self.recv(f, step, axis)
 
     # -- per-step machinery ------------------------------------------------
 
@@ -322,17 +323,19 @@ class RankWorker:
 
     def _regions(self):
         """The overlapped schedule's bulk, then the left, right, bottom and
-        top frames of WALL_ROWS sites around it."""
+        top frames of WALL_ROWS sites around it.  The five partition the
+        tile; a tile narrower than two frames gets an empty bulk."""
         g, h = self.geom, WALL_ROWS
         x_lo, x_hi = g.Hx, g.Hx + g.Lx
         y_lo, y_hi = g.Hy, g.Hy + g.Ly
-        mid_x = slice(min(x_lo + h, x_hi), max(x_hi - h, x_lo + h))
-        mid_y = slice(min(y_lo + h, y_hi), max(y_hi - h, y_lo + h))
-        return [(mid_x, mid_y),
-                (slice(x_lo, min(x_lo + h, x_hi)), mid_y),
-                (slice(max(x_hi - h, x_lo), x_hi), mid_y),
-                (slice(x_lo, x_hi), slice(y_lo, min(y_lo + h, y_hi))),
-                (slice(x_lo, x_hi), slice(max(y_hi - h, y_lo), y_hi))]
+        x_a, y_a = min(x_lo + h, x_hi), min(y_lo + h, y_hi)
+        x_b, y_b = max(x_hi - h, x_a), max(y_hi - h, y_a)
+        mid_y = slice(y_a, y_b)
+        return [(slice(x_a, x_b), mid_y),
+                (slice(x_lo, x_a), mid_y),
+                (slice(x_b, x_hi), mid_y),
+                (slice(x_lo, x_hi), slice(y_lo, y_a)),
+                (slice(x_lo, x_hi), slice(y_b, y_hi))]
 
     def step(self, step_no):
         t = {}
@@ -342,14 +345,11 @@ class RankWorker:
         if self.walls:
             self._extend_wall_halos(prv)
         t0 = time.perf_counter()
-        has_y = (self.tile.neighbors["up"] is not None
-                 or self.tile.neighbors["down"] is not None)
-        if has_y:
-            self.pbc_nc(prv, step_no)
+        self.exchange(prv, step_no, 1)
         t1 = time.perf_counter()
         t["t_comm_nc"] = t1 - t0
         if self.schedule == "staged":
-            self.pbc_c(prv, step_no)
+            self.exchange(prv, step_no, 0)
             t2 = time.perf_counter()
             t["t_comm_c"] = t2 - t1
             propagate_collide_fused(prv, nxt, self.params, self.vs,
@@ -360,14 +360,14 @@ class RankWorker:
             # Post the contiguous-halo sends, run the fused bulk while the
             # transfers are in flight, then finish the border frames.
             bulk, *frames = self._regions()
-            self.pbc_c_send(prv, step_no)
+            self.send(prv, step_no, 0)
             t2 = time.perf_counter()
             t["t_comm_c"] = t2 - t1
             propagate_collide_fused(prv, nxt, self.params, self.vs, bulk,
                                     self.wall_rows)
             t3 = time.perf_counter()
             t["t_bulk"] = t3 - t2
-            self.pbc_c_recv(prv, step_no)
+            self.recv(prv, step_no, 0)
             t4 = time.perf_counter()
             t["t_comm_c"] += t4 - t3
             for region in frames:

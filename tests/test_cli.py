@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from thermolb import native
+from thermolb import cli, native
 from thermolb.cli import main
 from thermolb.io import (load_config, read_bandwidth_table,
                          write_bandwidth_table)
@@ -100,6 +100,43 @@ def test_simulate_bad_tiling_is_config_error(tmp_path):
     rc = main(["simulate", "--lx", "10", "--ly", "10", "--np", "3",
                "--tiling", "1d", "--steps", "1", "--outdir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--ly", "8"], "'lx'"),
+    (["simulate", "--lx", "8"], "'ly'"),
+    (["plan", "--lx", "64"], "'ly'"),
+])
+def test_missing_extent_names_the_key(tmp_path, capsys, argv, key):
+    rc = main(argv + ["--out" if argv[0] == "plan" else "--outdir",
+                      str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "missing required key" in err and key in err
+
+
+@pytest.mark.parametrize("tiling", ["2x", "x2", "2x2x2", "2by2"])
+def test_simulate_malformed_tiling_is_config_error(tmp_path, capsys, tiling):
+    rc = main(["simulate", "--lx", "8", "--ly", "8", "--tiling", tiling,
+               "--steps", "1", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "tiling must be '1d' or 'NXxNY'" in capsys.readouterr().err
+
+
+def test_unexpected_error_in_run_is_not_a_config_error(tmp_path, capsys,
+                                                       monkeypatch):
+    # an internal bug (here a KeyError inside run) exits 3 with its
+    # traceback, not 2 as if the user's configuration were at fault
+    def broken(cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "run", broken)
+    rc = main(["simulate", "--lx", "8", "--ly", "8", "--steps", "1",
+               "--outdir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'internal'" in err
+    assert "configuration error" not in err
 
 
 def test_simulate_large_config_parses_but_is_memory_bound():

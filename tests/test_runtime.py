@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
-from thermolb import (PhysicsParams, RankWorker, SimConfig, decompose,
-                      face_plans, run)
+from thermolb import (PhysicsParams, RankWorker, SimConfig,
+                      build_velocity_set, decompose, face_plans, run)
 from thermolb.errors import (ConfigurationError, DeadlockError, ProtocolError)
 from thermolb.runtime import Fabric, boundary_bytes_per_site
 
@@ -147,7 +149,7 @@ def test_ring_sentinel_circulation(d2q9):
     ws[0].prv.pops[l, g.Hx + g.Lx - 1, g.Hy + 2] = 42.0
     import threading
     for step in range(1):
-        th = [threading.Thread(target=w.pbc_c, args=(w.prv, step))
+        th = [threading.Thread(target=w.exchange, args=(w.prv, step, 0))
               for w in ws]
         for t in th:
             t.start()
@@ -174,8 +176,8 @@ def test_corner_diagonal_via_protocol_order(d2q9):
     ws[3].prv.pops[l, g.Hx, g.Hy] = 7.0
 
     def both(w):
-        w.pbc_nc(w.prv, 0)
-        w.pbc_c(w.prv, 0)
+        w.exchange(w.prv, 0, 1)
+        w.exchange(w.prv, 0, 0)
 
     th = [threading.Thread(target=both, args=(w,)) for w in ws]
     for t in th:
@@ -200,8 +202,8 @@ def test_wall_rank_outer_halo_untouched_by_exchange(d2q37):
     hi = ws[1].prv.pops[:, px, ws[1].geom.Hy + ws[1].geom.Ly - 1].copy()
 
     def both(w):
-        w.pbc_nc(w.prv, 0)
-        w.pbc_c(w.prv, 0)
+        w.exchange(w.prv, 0, 1)
+        w.exchange(w.prv, 0, 0)
 
     th = [threading.Thread(target=both, args=(w,)) for w in ws]
     for t in th:
@@ -212,6 +214,90 @@ def test_wall_rank_outer_halo_untouched_by_exchange(d2q37):
     for k in range(g.Hy):
         assert np.array_equal(ws[0].prv.pops[:, px, k], lo)       # below wall
         assert np.array_equal(ws[1].prv.pops[:, px, g.Hy + g.Ly + k], hi)
+
+
+def _reach(c, H, L):
+    """reach[l, i]: padded position i along one axis holds population l after
+    an exchange: a physical site, or a halo site at depth d whose population
+    crosses the face at least d deep, c >= d below and -c >= d above."""
+    i = np.arange(H + L + H)
+    depth = np.maximum(H - i, i - (H + L - 1))
+    sign = np.where(i < H, 1, -1)
+    return (depth <= 0) | (sign * c[:, None] >= depth)
+
+
+def _run_threads(ws, fn):
+    th = [threading.Thread(target=fn, args=(w,)) for w in ws]
+    for t in th:
+        t.start()
+    for t in th:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in th)
+
+
+@pytest.mark.parametrize("layout", ["soa", "aos"])
+@pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
+@pytest.mark.parametrize("Np, tiling, walls", [
+    (1, "1d", False), (2, "1d", False), (4, "1d", False),
+    (4, (2, 2), False), (8, (2, 4), False), (2, (1, 2), True)])
+def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
+                                                    walls):
+    # The oracle knows nothing of the face table: pad the global state the
+    # way the physics sees it (Y wrapped, or edge-extended at walls; X
+    # wrapped) and compare every value a crossing population brings in.
+    vs = build_velocity_set(model)
+    Lx, Ly, H = 12, 16, 3
+    glob = np.random.default_rng(4).random((vs.Q, Lx, Ly))
+    want = np.pad(glob, ((0, 0), (0, 0), (H, H)),
+                  mode="edge" if walls else "wrap")
+    want = np.pad(want, ((0, 0), (H, H), (0, 0)), mode="wrap")
+    fab = Fabric(Np, timeout=5.0)
+    ws = [make_worker(t, vs, fab, walls=walls, layout=layout)
+          for t in decompose(Lx, Ly, Np, tiling, periodic_y=not walls)]
+    for w in ws:
+        t, g = w.tile, w.geom
+        w.prv.pops[...] = np.nan
+        w.prv.pops[:, g.phys_x, g.phys_y] = \
+            glob[:, t.x0:t.x0 + t.Lx, t.y0:t.y0 + t.Ly]
+        if walls:
+            w._extend_wall_halos(w.prv)
+
+    def y_then_x(w):
+        w.exchange(w.prv, 0, 1)
+        w.exchange(w.prv, 0, 0)
+
+    _run_threads(ws, y_then_x)
+    for w in ws:
+        t, g = w.tile, w.geom
+        got = w.prv.pops
+        ref = want[:, t.x0:t.x0 + g.NX, t.y0:t.y0 + g.NY]
+        mask = (_reach(vs.c[:, 0], H, g.Lx)[:, :, None]
+                & _reach(vs.c[:, 1], H, g.Ly)[:, None, :])
+        assert np.array_equal(got[mask], ref[mask])
+        outer = ([slice(0, H)] if t.lowermost else []) + \
+            ([slice(H + g.Ly, None)] if t.uppermost else [])
+        for rows in (outer if walls else []):
+            assert np.array_equal(got[:, g.phys_x, rows], ref[:, g.phys_x, rows])
+
+
+@pytest.mark.parametrize("layout", ["soa", "aos"])
+@pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
+def test_single_wall_rank_pack_y_round_trip(model, layout):
+    # a wall-bounded rank has no Y neighbor, yet its Y faces pack and
+    # unpack: fed its own payload, the pair acts as a periodic Y wrap
+    vs = build_velocity_set(model)
+    tile = decompose(12, 16, 1, "1d")[0]
+    w = make_worker(tile, vs, Fabric(1), layout=layout)
+    g = w.geom
+    glob = np.random.default_rng(5).random((vs.Q, g.Lx, g.Ly))
+    w.prv.pops[...] = np.nan
+    w.prv.pops[:, g.phys_x, g.phys_y] = glob
+    for sign in (1, -1):
+        w.unpack_y(w.prv, sign, w.pack_y(w.prv, sign))
+    ref = np.pad(glob, ((0, 0), (0, 0), (g.Hy, g.Hy)), mode="wrap")
+    mask = np.broadcast_to(_reach(vs.c[:, 1], g.Hy, g.Ly)[:, None, :],
+                           ref.shape)
+    assert np.array_equal(w.prv.pops[:, g.phys_x, :][mask], ref[mask])
 
 
 # ------------------------------------------------------------------- step --
@@ -266,6 +352,34 @@ def test_halo_poison_never_reaches_physics():
                         init="random", init_kwargs={"seed": 1},
                         debug_poison=True))
     assert np.all(np.isfinite(res.populations))
+
+
+THIN = dict(steps=5, params=PhysicsParams(tau=0.8, gy=-1e-4, Twall_top=0.6,
+                                          Twall_bot=0.75),
+            init="random", init_kwargs={"seed": 2})
+
+
+@pytest.mark.parametrize("kw, match", [
+    # 2-wide tiles along the X ring, below D2Q37's 3-site reach
+    (dict(model="D2Q37", Np=4, tiling="1d"), "X extent 2"),
+    # 2-high tiles along a periodic Y ring
+    (dict(model="D2Q37", Np=8, tiling=(1, 8), walls=False, periodic_y=True),
+     "Y extent 2"),
+    # D2Q9 reaches one site, but its wall ranks hold 3 wall rows
+    (dict(model="D2Q9", Np=8, tiling=(1, 8)), "Y extent 2 .* wall rows"),
+], ids=["d2q37-1d-x", "d2q37-periodic-y", "d2q9-wall-rows"])
+def test_thin_tiles_are_configuration_errors(kw, match):
+    with pytest.raises(ConfigurationError, match=match):
+        run(SimConfig(Lx=8, Ly=16, schedule="staged", **kw, **THIN))
+
+
+@pytest.mark.parametrize("model, Lx, Np", [("D2Q9", 8, 4), ("D2Q9", 8, 8),
+                                           ("D2Q37", 12, 4)])
+def test_overlapped_tiles_narrower_than_frames_bitwise(model, Lx, Np):
+    kw = dict(Lx=Lx, Ly=16, model=model, **THIN)
+    one = run(SimConfig(Np=1, schedule="staged", **kw))
+    thin = run(SimConfig(Np=Np, tiling="1d", schedule="overlapped", **kw))
+    assert np.array_equal(one.populations, thin.populations)
 
 
 def test_metrics_per_step_and_rank():
