@@ -38,12 +38,42 @@ def _merge(config, args, keys):
     return out
 
 
+def _value(cfg, key, kind, default=None):
+    """cfg[key], or default when it is absent or null, converted by kind; a
+    value kind rejects is a configuration error that names the key."""
+    value = cfg.get(key)
+    if value is None:
+        value = default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{key!r} must be {kind.__name__}, got {value!r}") from None
+
+
+def boolean(value):
+    """A yes/no value from --walls or a config file: 1/true/yes or
+    0/false/no, in any case."""
+    text = str(value).lower()
+    if text in ("1", "true", "yes"):
+        return True
+    if text in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a yes/no value: {value!r}")
+
+
+def int_list(value):
+    """Comma-separated integers, or a list of them."""
+    return [int(p) for p in (value.split(",") if isinstance(value, str)
+                             else value)]
+
+
 def _extents(cfg):
     """The required lattice extents (lx, ly) as ints."""
     for key in ("lx", "ly"):
         if cfg.get(key) is None:
             raise ConfigurationError(f"missing required key {key!r}")
-    return int(cfg["lx"]), int(cfg["ly"])
+    return _value(cfg, "lx", int), _value(cfg, "ly", int)
 
 
 def cmd_simulate(args):
@@ -53,28 +83,29 @@ def cmd_simulate(args):
             "snapshot_every", "outdir", "tdp_watts", "walls"]
     cfg = _merge(config, args, keys)
     Lx, Ly = _extents(cfg)
-    Np = int(cfg.get("np", 1))
+    Np = _value(cfg, "np", int, 1)
     tiling, Np = _parse_tiling(cfg.get("tiling"), Np)
     vsname = cfg.get("model", "D2Q37")
-    walls = bool(cfg.get("walls", True))
+    walls = _value(cfg, "walls", boolean, True)
     params = PhysicsParams(
-        tau=float(cfg.get("tau", 1.0)),
-        gx=float(cfg.get("gx", 0.0)),
-        gy=float(cfg.get("gy", -1e-4)),
-        Twall_top=float(cfg.get("twall_top", 1.0)),
-        Twall_bot=float(cfg.get("twall_bot", 1.0)),
+        tau=_value(cfg, "tau", float, 1.0),
+        gx=_value(cfg, "gx", float, 0.0),
+        gy=_value(cfg, "gy", float, -1e-4),
+        Twall_top=_value(cfg, "twall_top", float, 1.0),
+        Twall_bot=_value(cfg, "twall_bot", float, 1.0),
     )
     init_kwargs = dict(cfg.get("init_kwargs", {}))
     if "seed" in cfg and cfg["seed"] is not None:
-        init_kwargs.setdefault("seed", int(cfg["seed"]))
+        init_kwargs.setdefault("seed", _value(cfg, "seed", int))
     sim = SimConfig(
         Lx=Lx, Ly=Ly, model=vsname, tiling=tiling,
         Np=Np, schedule=cfg.get("schedule", "overlapped"),
-        steps=int(cfg.get("steps", 0)), params=params, walls=walls,
+        steps=_value(cfg, "steps", int, 0), params=params, walls=walls,
         periodic_y=not walls, layout=cfg.get("layout", "soa"),
         init=cfg.get("init", "uniform"), init_kwargs=init_kwargs,
-        snapshot_every=int(cfg.get("snapshot_every", 0)),
+        snapshot_every=_value(cfg, "snapshot_every", int, 0),
     )
+    tdp_watts = _value(cfg, "tdp_watts", float, 0.0)
     result = run(sim)
     outdir = cfg.get("outdir", ".")
     os.makedirs(outdir, exist_ok=True)
@@ -94,10 +125,10 @@ def cmd_simulate(args):
                            result.macro)
     lines = [f"steps: {sim.steps}", f"wall_seconds: {result.wall_seconds:.6f}",
              f"MLUPS: {result.mlups:.3f}", f"kernels: {native.kernel_path()}"]
-    if cfg.get("tdp_watts") and result.wall_seconds > 0 and sim.steps > 0:
+    if tdp_watts and result.wall_seconds > 0 and sim.steps > 0:
         sites_per_s = sim.Lx * sim.Ly * sim.steps / result.wall_seconds
         lines.append(
-            f"energy_per_site_uJ: {float(cfg['tdp_watts']) / sites_per_s / 1e-6:.3f}")
+            f"energy_per_site_uJ: {tdp_watts / sites_per_s / 1e-6:.3f}")
     summary = "\n".join(lines)
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(summary + "\n")
@@ -111,17 +142,15 @@ def cmd_plan(args):
                                 "np_list", "bandwidth_table", "out"])
     Lx, Ly = _extents(cfg)
     common = dict(Lx=Lx, Ly=Ly, Np=1,
-                  beta=float(cfg.get("beta", 1e-8)),
-                  S=float(cfg.get("s", planner.DEFAULT_S)))
+                  beta=_value(cfg, "beta", float, 1e-8),
+                  S=_value(cfg, "s", float, planner.DEFAULT_S))
     if cfg.get("bandwidth_table"):
         inp = bench_mod.cost_input_from_tables(
             io_mod.read_bandwidth_table(cfg["bandwidth_table"]), **common)
     else:
-        inp = planner.CostModelInput(Bx=float(cfg.get("bx", 1e9)),
-                                     By=float(cfg.get("by", 1e9)), **common)
-    np_list = cfg.get("np_list", "1,2,4,8,16,32")
-    if isinstance(np_list, str):
-        np_list = [int(p) for p in np_list.split(",")]
+        inp = planner.CostModelInput(Bx=_value(cfg, "bx", float, 1e9),
+                                     By=_value(cfg, "by", float, 1e9), **common)
+    np_list = _value(cfg, "np_list", int_list, "1,2,4,8,16,32")
     rows = planner.scaling_curve(inp, np_list)
     out = cfg.get("out", "plan.csv")
     io_mod.write_table(
@@ -210,7 +239,7 @@ def build_parser():
     s.add_argument("--snapshot-every", type=int)
     s.add_argument("--outdir")
     s.add_argument("--tdp-watts", type=float)
-    s.add_argument("--walls", type=lambda v: v.lower() in ("1", "true", "yes"))
+    s.add_argument("--walls", help="1/true/yes or 0/false/no")
     s.set_defaults(fn=cmd_simulate)
 
     s = sub.add_parser("plan", help="evaluate the scaling cost model")

@@ -1,4 +1,4 @@
-/* Fused pull-gather, wall rewrite and BGK collision over one region.
+/* Fused pull-gather, wall rewrite and BGK collision over a list of regions.
 
    This is the compiled form of thermolb.kernels.propagate_collide_fused.
    Every expression mirrors its numpy counterpart in kernels.py (_gather,
@@ -8,7 +8,7 @@
    multiply-add), each value is rounded exactly as numpy rounds it, so both
    paths give the same bits.
 
-   The sites of the region are taken x-major, y-minor, in blocks of BLOCK.
+   The sites of each region are taken x-major, y-minor, in blocks of BLOCK.
    Inside a block every loop runs over populations outside and sites inside,
    so the compiler can vectorize the site loop.  Populations are addressed
    through the element strides of the canonical (Q, NX, NY) view, which
@@ -22,7 +22,7 @@
 
 #define BLOCK 256
 
-/* Any nonzero status makes the caller rerun the region on the numpy path,
+/* Any nonzero status makes the caller rerun the regions on the numpy path,
    which raises the matching typed error. */
 enum {
     TLB_OK = 0,
@@ -207,11 +207,13 @@ static void gather(const double *src, const int64_t *st, const int64_t *c,
     }
 }
 
-/* Write the relaxed block back: dst[l, x, y] = f[l][j]. */
-static void scatter(double *dst, const int64_t *st, int Q, int64_t x0,
-                    int64_t y0, int64_t ny, int64_t first, int64_t n,
-                    const double *restrict f)
+/* Write the relaxed block back, dst[l, x, y] = f[l][j], and return how
+   many of the values written are negative. */
+static int64_t scatter(double *dst, const int64_t *st, int Q, int64_t x0,
+                       int64_t y0, int64_t ny, int64_t first, int64_t n,
+                       const double *restrict f)
 {
+    int64_t negatives = 0;
     for (int l = 0; l < Q; l++) {
         const double *restrict fl = f + (int64_t)l * BLOCK;
         for (int64_t j = 0; j < n;) {
@@ -219,14 +221,19 @@ static void scatter(double *dst, const int64_t *st, int Q, int64_t x0,
             const int64_t len = ny - y < n - j ? ny - y : n - j;
             double *p = dst + l * st[0] + (x0 + x) * st[1] + (y0 + y) * st[2];
             if (st[2] == 1)
-                for (int64_t k = 0; k < len; k++)
+                for (int64_t k = 0; k < len; k++) {
                     p[k] = fl[j + k];
+                    negatives += fl[j + k] < 0.0;
+                }
             else
-                for (int64_t k = 0; k < len; k++)
+                for (int64_t k = 0; k < len; k++) {
                     p[k * st[2]] = fl[j + k];
+                    negatives += fl[j + k] < 0.0;
+                }
             j += len;
         }
     }
+    return negatives;
 }
 
 static int relax(const tlb_model *m, const tlb_work *W, int64_t n, int nw)
@@ -241,17 +248,19 @@ static int relax(const tlb_model *m, const tlb_work *W, int64_t n, int nw)
     }
 }
 
-/* Fused step over the region box = (x0, x1, y0, y1) in padded coordinates.
+/* Fused step over nbox region boxes, box k = boxes[4k .. 4k+3] =
+   (x0, x1, y0, y1) in padded coordinates.
 
    strides: element strides of src's then dst's (Q, NX, NY) view.
    walls: nwall padded-y ranges [wrows[2k], wrows[2k+1]) with temperature
-   wT[k]; rows of the region inside one are set to the wall equilibrium
-   before the collision.  The caller guarantees that every pulled site lies
-   inside src and that m->order is 2, 3 or 4.  Returns a TLB_* status; on a
-   nonzero status dst may be partly written. */
+   wT[k]; rows of a box inside one are set to the wall equilibrium before
+   the collision.  *negatives receives the number of negative values written
+   to dst.  The caller guarantees that every pulled site lies inside src and
+   that m->order is 2, 3 or 4.  Returns a TLB_* status; on a nonzero status
+   dst may be partly written. */
 int tlb_fused(const double *src, double *dst, const int64_t *strides,
-              const int64_t *box, int nwall, const int64_t *wrows,
-              const double *wT, const tlb_model *m)
+              const int64_t *boxes, int nbox, int nwall, const int64_t *wrows,
+              const double *wT, const tlb_model *m, int64_t *negatives)
 {
     const int Q = m->Q;
     double *mem = malloc(sizeof(double) * ((size_t)(Q + 8) * BLOCK + 3 * Q
@@ -280,29 +289,35 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
     }
 
     int status = TLB_OK;
-    const int64_t x0 = box[0], nx = box[1] - box[0];
-    /* Split the y range at every wall boundary, so that each segment lies
-       wholly inside or wholly outside each wall range. */
-    for (int64_t ya = box[2], yb; ya < box[3] && status == TLB_OK; ya = yb) {
-        yb = box[3];
-        for (int k = 0; k < nwall; k++)
-            for (int e = 0; e < 2; e++)
-                if (wrows[2 * k + e] > ya && wrows[2 * k + e] < yb)
-                    yb = wrows[2 * k + e];
-        int nw = 0;
-        for (int k = 0; k < nwall; k++)
-            if (wrows[2 * k] <= ya && ya < wrows[2 * k + 1])
-                W.Tw[nw++] = wT[k];
-        const int64_t ny = yb - ya, total = nx * ny;
-        for (int64_t first = 0; first < total; first += BLOCK) {
-            const int64_t n = total - first < BLOCK ? total - first : BLOCK;
-            gather(src, strides, m->c, Q, x0, ya, ny, first, n, W.f);
-            status = relax(m, &W, n, nw);
-            if (status != TLB_OK)
-                break;
-            scatter(dst, strides + 3, Q, x0, ya, ny, first, n, W.f);
+    int64_t neg = 0;
+    for (int b = 0; b < nbox && status == TLB_OK; b++) {
+        const int64_t *box = boxes + 4 * b;
+        const int64_t x0 = box[0], nx = box[1] - box[0];
+        /* Split the y range at every wall boundary, so that each segment
+           lies wholly inside or wholly outside each wall range. */
+        for (int64_t ya = box[2], yb; ya < box[3] && status == TLB_OK;
+             ya = yb) {
+            yb = box[3];
+            for (int k = 0; k < nwall; k++)
+                for (int e = 0; e < 2; e++)
+                    if (wrows[2 * k + e] > ya && wrows[2 * k + e] < yb)
+                        yb = wrows[2 * k + e];
+            int nw = 0;
+            for (int k = 0; k < nwall; k++)
+                if (wrows[2 * k] <= ya && ya < wrows[2 * k + 1])
+                    W.Tw[nw++] = wT[k];
+            const int64_t ny = yb - ya, total = nx * ny;
+            for (int64_t first = 0; first < total; first += BLOCK) {
+                const int64_t n = total - first < BLOCK ? total - first : BLOCK;
+                gather(src, strides, m->c, Q, x0, ya, ny, first, n, W.f);
+                status = relax(m, &W, n, nw);
+                if (status != TLB_OK)
+                    break;
+                neg += scatter(dst, strides + 3, Q, x0, ya, ny, first, n, W.f);
+            }
         }
     }
+    *negatives = neg;
     free(mem);
     return status;
 }

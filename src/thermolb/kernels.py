@@ -215,32 +215,49 @@ def bc(field: PopulationField, params: PhysicsParams, vs: VelocitySet,
 
 def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
                             params: PhysicsParams, vs: VelocitySet,
-                            region=None, walls=()):
-    """Gather, wall rewrite and collide in one pass over a region.
+                            region=None, walls=(), plan=None):
+    """Gather, wall rewrite and collide in one pass over one or more regions.
 
-    walls lists (lo, hi, Twall) padded-y ranges.  The region's rows inside one
-    are set to the wall equilibrium (gathered density, zero velocity, Twall)
-    before the collision, so the result is bit-identical to staged
-    propagate -> bc -> collide.  The compiled kernel does the work when it is
-    available; otherwise, or when it refuses the region (a degenerate state),
-    the numpy path below runs and raises the typed error.  Both paths give
-    the same bits.
+    region is one (xs, ys) pair of physical slices or a list of them; None
+    means the whole physical tile.  walls lists (lo, hi, Twall) padded-y
+    ranges.  A region's rows inside one are set to the wall equilibrium
+    (gathered density, zero velocity, Twall) before the collision, so the
+    result is bit-identical to staged propagate -> bc -> collide.
+
+    The compiled kernel does all regions in one call when it is available,
+    through plan (a native.Plan) when it serves these arguments, otherwise
+    through a throwaway one.  When the kernel is unavailable or refuses the
+    call (a degenerate state), the numpy path below reruns every region and
+    raises the typed error.  Both paths give the same bits.  Returns the
+    number of negative population values written.
     """
     geom = prv.geom
     if region is None:
         region = (geom.phys_x, geom.phys_y)
-    xs, ys = _check_region(geom, region)
-    if xs.stop <= xs.start or ys.stop <= ys.start:
-        return
-    if native.fused(prv, nxt, params, vs, xs, ys, walls):
-        return
-    scratch = _gather(prv.pops, vs, xs, ys)
-    for lo, hi, Twall in walls:
-        rows = slice(max(lo, ys.start) - ys.start, min(hi, ys.stop) - ys.start)
-        if rows.start < rows.stop:
-            scratch[:, :, rows] = _wall_equilibrium(scratch[:, :, rows], Twall,
-                                                    params, vs)
-    nxt.pops[:, xs, ys] = collide(scratch, params, vs)
+    boxes = []
+    for r in [region] if isinstance(region[0], slice) else region:
+        xs, ys = _check_region(geom, r)
+        if xs.start < xs.stop and ys.start < ys.stop:
+            boxes.append((xs, ys))
+    if not boxes:
+        return 0
+    if plan is None or not plan.serves(prv, nxt, params, vs, walls):
+        plan = native.Plan(prv, nxt, params, vs, walls)
+    negatives = plan.run(prv, nxt, boxes)
+    if negatives is not None:
+        return negatives
+    negatives = 0
+    for xs, ys in boxes:
+        scratch = _gather(prv.pops, vs, xs, ys)
+        for lo, hi, Twall in walls:
+            rows = slice(max(lo, ys.start) - ys.start,
+                         min(hi, ys.stop) - ys.start)
+            if rows.start < rows.stop:
+                scratch[:, :, rows] = _wall_equilibrium(scratch[:, :, rows],
+                                                        Twall, params, vs)
+        nxt.pops[:, xs, ys] = collide(scratch, params, vs)
+        negatives += count_negative(nxt.pops[:, xs, ys])
+    return negatives
 
 
 def count_negative(f):

@@ -92,8 +92,9 @@ def _build_and_load():
     except (OSError, subprocess.SubprocessError):
         return None
     ptr = ctypes.c_void_p
-    lib.tlb_fused.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int, ptr, ptr,
-                              ctypes.POINTER(_Model)]
+    lib.tlb_fused.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int, ctypes.c_int,
+                              ptr, ptr, ctypes.POINTER(_Model),
+                              ctypes.POINTER(ctypes.c_int64)]
     lib.tlb_fused.restype = ctypes.c_int
     return lib
 
@@ -118,40 +119,91 @@ def _element_strides(a):
     return [s // a.itemsize for s in a.strides]
 
 
-def fused(prv, nxt, params, vs, xs, ys, walls):
-    """Run fused.c's tlb_fused on one physical region.
+class Plan:
+    """tlb_fused's arguments for one pair of buffers, built once.
 
-    Returns True when the compiled kernel did the whole region; False when
-    the library is unavailable, a precondition for passing pointers fails,
-    or the kernel returned a nonzero status.  The caller then runs the numpy
-    path on the region.
+    A plan holds the model struct, the data pointers and element strides of
+    both buffers (for either direction of the prv/nxt swap), the wall rows
+    and a cache of box arrays keyed by region bounds, plus a reference to
+    every array those point into.  It serves only the buffers, params,
+    velocity set and walls it was built from (see serves); a rank builds one
+    on its first step and passes it to every kernel call.
     """
-    lib = load()
-    if lib is None:
-        return False
-    order = vs.eq_order if params.eq_order is None else params.eq_order
-    src, dst = prv.pops, nxt.pops
-    geom = prv.geom
-    # Every pull reads at most max_hop sites outside the physical region.
-    if (order not in (2, 3, 4) or src.dtype != np.float64
-            or dst.dtype != np.float64 or not dst.flags.writeable
-            or src.shape != (vs.Q, geom.NX, geom.NY) or dst.shape != src.shape
-            or min(geom.Hx, geom.Hy) < vs.max_hop
-            or any(s % 8 for s in src.strides + dst.strides)):
-        return False
-    c = np.ascontiguousarray(vs.c, dtype=np.int64)
-    w = np.ascontiguousarray(vs.w, dtype=np.float64)
-    g2 = params.gx * params.gx + params.gy * params.gy
-    model = _Model(vs.Q, int(order), c.ctypes.data, w.ctypes.data, vs.cs2,
-                   params.tau * params.gx, params.tau * params.gy,
-                   params.tau * params.tau * g2 / params.D,
-                   params.dt / params.tau)
-    strides = (ctypes.c_int64 * 6)(*_element_strides(src),
-                                   *_element_strides(dst))
-    box = (ctypes.c_int64 * 4)(xs.start, xs.stop, ys.start, ys.stop)
-    wrows = (ctypes.c_int64 * (2 * len(walls) or 1))(
-        *[r for lo, hi, _ in walls for r in (lo, hi)])
-    wT = (ctypes.c_double * (len(walls) or 1))(*[T for _, _, T in walls])
-    status = lib.tlb_fused(src.ctypes.data, dst.ctypes.data, strides, box,
-                           len(walls), wrows, wT, ctypes.byref(model))
-    return status == 0
+
+    def __init__(self, prv, nxt, params, vs, walls):
+        self.params, self.vs, self.walls = params, vs, walls
+        self.buffers = (prv.data, nxt.data)
+        self._boxes = {}
+        self._args = None          # None: the kernel cannot take these buffers
+        order = vs.eq_order if params.eq_order is None else params.eq_order
+        geom = prv.geom
+        pops = (prv.pops, nxt.pops)
+        # Every pull reads at most max_hop sites outside the physical region.
+        if (order not in (2, 3, 4) or min(geom.Hx, geom.Hy) < vs.max_hop
+                or any(p.dtype != np.float64 or not p.flags.writeable
+                       or p.shape != (vs.Q, geom.NX, geom.NY)
+                       or any(s % 8 for s in p.strides) for p in pops)):
+            return
+        self._c = np.ascontiguousarray(vs.c, dtype=np.int64)
+        self._w = np.ascontiguousarray(vs.w, dtype=np.float64)
+        g2 = params.gx * params.gx + params.gy * params.gy
+        self._model = ctypes.pointer(_Model(
+            vs.Q, int(order), self._c.ctypes.data, self._w.ctypes.data,
+            vs.cs2, params.tau * params.gx, params.tau * params.gy,
+            params.tau * params.tau * g2 / params.D, params.dt / params.tau))
+        self._nwall = len(walls)
+        self._wrows = (ctypes.c_int64 * (2 * len(walls) or 1))(
+            *[r for lo, hi, _ in walls for r in (lo, hi)])
+        self._wT = (ctypes.c_double * (len(walls) or 1))(
+            *[T for _, _, T in walls])
+
+        def direction(src, dst):
+            return (ctypes.c_void_p(src.ctypes.data),
+                    ctypes.c_void_p(dst.ctypes.data),
+                    (ctypes.c_int64 * 6)(*_element_strides(src),
+                                         *_element_strides(dst)))
+
+        # indexed by "prv is the second buffer", i.e. after an odd swap
+        self._args = (direction(*pops), direction(*pops[::-1]))
+
+    def serves(self, prv, nxt, params, vs, walls):
+        """True when prv and nxt are this plan's buffers, in either order,
+        and params, vs and walls are the objects it was built from."""
+        a, b = self.buffers
+        return (params is self.params and vs is self.vs
+                and walls is self.walls
+                and ((prv.data is a and nxt.data is b)
+                     or (prv.data is b and nxt.data is a)))
+
+    def run(self, prv, nxt, boxes):
+        """Run tlb_fused over boxes, a list of non-empty physical (xs, ys)
+        slice pairs, on buffers this plan serves.
+
+        Returns the number of negative values written, or None when the
+        library is unavailable, the kernel cannot take these buffers or it
+        returned a nonzero status.  The caller then runs the numpy path on
+        the boxes.
+        """
+        lib = load()
+        if lib is None or self._args is None:
+            return None
+        src, dst, strides = self._args[prv.data is self.buffers[1]]
+        key = tuple((xs.start, xs.stop, ys.start, ys.stop) for xs, ys in boxes)
+        box = self._boxes.get(key)
+        if box is None:
+            box = self._boxes[key] = (ctypes.c_int64 * (4 * len(key)))(
+                *[v for bounds in key for v in bounds])
+        negatives = ctypes.c_int64()
+        status = lib.tlb_fused(src, dst, strides, box, len(key), self._nwall,
+                               self._wrows, self._wT, self._model,
+                               ctypes.byref(negatives))
+        return negatives.value if status == 0 else None
+
+
+def fused(prv, nxt, params, vs, xs, ys, walls):
+    """Run tlb_fused on one physical region with a throwaway plan.
+
+    Returns the number of negative values written, or None when the
+    compiled kernel did not do the region (see Plan.run).
+    """
+    return Plan(prv, nxt, params, vs, walls).run(prv, nxt, [(xs, ys)])

@@ -13,6 +13,14 @@ scatter, for either axis and layout.  The Y (non-contiguous) faces cover
 physical columns only and are exchanged before the X (contiguous) faces,
 which span the full padded height, so corner halo cells pick up
 diagonal-neighbor data from the forwarded columns.
+
+A step makes one kernel call per region group.  The staged schedule
+exchanges Y, then X, then runs the whole tile.  The overlapped schedule
+exchanges Y, posts the X sends, runs the bulk (full height, all but a
+max_hop-wide frame at each X edge) while they are in flight, receives X and
+runs both frames in one call.  Each worker builds a native.Plan on its first
+step, so every call passes prebuilt kernel arguments; the kernel also
+returns the step's count of negative populations.
 """
 
 import queue
@@ -23,14 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import native
 from .errors import (ConfigurationError, ContractViolation, DeadlockError,
                      ProtocolError, ThermoLBError)
 from .geometry import LatticeGeometry, allocate_field, swap_buffers
-# The step calls only propagate_collide_fused and count_negative.  propagate,
-# collide and bc stay imported because the benchmark's span tracer
-# (perfbench/spans.py) wraps all five kernel names in this module's
-# namespace; for the same reason the step calls the kernel through this
-# module-level name.
+# The step calls only propagate_collide_fused, which also counts the
+# negative values it writes.  propagate, collide, bc and count_negative stay
+# imported because the benchmark's span tracer (perfbench/spans.py) wraps
+# all five kernel names in this module's namespace; for the same reason the
+# step calls the kernel through this module-level name.
 from .kernels import (WALL_ROWS, bc, collide, count_negative,  # noqa: F401
                       propagate, propagate_collide_fused)
 from .velocity_set import VelocitySet
@@ -207,6 +216,8 @@ class RankWorker:
         self.halo = halo
         self.wall_rows = self._wall_rows()
         self.faces = self._face_table()
+        self.bulk, self.frames = self._regions()
+        self.plan = None       # native.Plan, built on the first step
         self.metrics = []
         self.snapshots = []
 
@@ -322,24 +333,27 @@ class RankWorker:
         return tuple(rows)
 
     def _regions(self):
-        """The overlapped schedule's bulk, then the left, right, bottom and
-        top frames of WALL_ROWS sites around it.  The five partition the
-        tile; a tile narrower than two frames gets an empty bulk."""
-        g, h = self.geom, WALL_ROWS
+        """The overlapped schedule's bulk and its left and right frames.
+
+        The bulk spans the tile's full height: its pulls stay inside the
+        physical columns and reach only the Y halos, which are exchanged
+        before it starts.  The frames are vs.max_hop columns wide, the reach
+        of the stencil into the X halos.  The three partition the tile; a
+        tile narrower than two frames gets an empty bulk."""
+        g, h = self.geom, self.vs.max_hop
         x_lo, x_hi = g.Hx, g.Hx + g.Lx
-        y_lo, y_hi = g.Hy, g.Hy + g.Ly
-        x_a, y_a = min(x_lo + h, x_hi), min(y_lo + h, y_hi)
-        x_b, y_b = max(x_hi - h, x_a), max(y_hi - h, y_a)
-        mid_y = slice(y_a, y_b)
-        return [(slice(x_a, x_b), mid_y),
-                (slice(x_lo, x_a), mid_y),
-                (slice(x_b, x_hi), mid_y),
-                (slice(x_lo, x_hi), slice(y_lo, y_a)),
-                (slice(x_lo, x_hi), slice(y_b, y_hi))]
+        x_a = min(x_lo + h, x_hi)
+        x_b = max(x_hi - h, x_a)
+        ys = g.phys_y
+        return (slice(x_a, x_b), ys), [(slice(x_lo, x_a), ys),
+                                       (slice(x_b, x_hi), ys)]
 
     def step(self, step_no):
         t = {}
         prv, nxt = self.prv, self.nxt
+        if self.plan is None:
+            self.plan = native.Plan(prv, nxt, self.params, self.vs,
+                                    self.wall_rows)
         if self.debug_poison:
             self._poison_halos(prv)
         if self.walls:
@@ -352,30 +366,31 @@ class RankWorker:
             self.exchange(prv, step_no, 0)
             t2 = time.perf_counter()
             t["t_comm_c"] = t2 - t1
-            propagate_collide_fused(prv, nxt, self.params, self.vs,
-                                    walls=self.wall_rows)
+            negatives = propagate_collide_fused(
+                prv, nxt, self.params, self.vs, None, self.wall_rows,
+                self.plan)
             t["t_bulk"] = time.perf_counter() - t2
             t["t_border"] = 0.0
         else:
             # Post the contiguous-halo sends, run the fused bulk while the
-            # transfers are in flight, then finish the border frames.
-            bulk, *frames = self._regions()
+            # transfers are in flight, then finish both border frames in
+            # one call.
             self.send(prv, step_no, 0)
             t2 = time.perf_counter()
             t["t_comm_c"] = t2 - t1
-            propagate_collide_fused(prv, nxt, self.params, self.vs, bulk,
-                                    self.wall_rows)
+            negatives = propagate_collide_fused(
+                prv, nxt, self.params, self.vs, self.bulk, self.wall_rows,
+                self.plan)
             t3 = time.perf_counter()
             t["t_bulk"] = t3 - t2
             self.recv(prv, step_no, 0)
             t4 = time.perf_counter()
             t["t_comm_c"] += t4 - t3
-            for region in frames:
-                propagate_collide_fused(prv, nxt, self.params, self.vs,
-                                        region, self.wall_rows)
+            negatives += propagate_collide_fused(
+                prv, nxt, self.params, self.vs, self.frames, self.wall_rows,
+                self.plan)
             t["t_border"] = time.perf_counter() - t4
-        t["negatives"] = count_negative(nxt.pops[:, self.geom.phys_x,
-                                                 self.geom.phys_y])
+        t["negatives"] = negatives
         self.prv, self.nxt = swap_buffers(self.prv, self.nxt)
         self.metrics.append(t)
 

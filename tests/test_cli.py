@@ -139,6 +139,50 @@ def test_unexpected_error_in_run_is_not_a_config_error(tmp_path, capsys,
     assert "configuration error" not in err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", "lx: abc\nly: 8\n", "'lx'"),
+    ("simulate", "lx: 8\nly: 8\ntau: fast\n", "'tau'"),
+    ("simulate", "lx: 8\nly: 8\nwalls: maybe\n", "'walls'"),
+    ("plan", "lx: 64\nly: 64\nbeta: small\n", "'beta'"),
+    ("plan", "lx: 64\nly: 64\nnp_list: 1,two\n", "'np_list'"),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, text,
+                                          key):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(text)
+    rc = main([command, "--config", str(cfgfile),
+               "--out" if command == "plan" else "--outdir",
+               str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, walls", [
+    ("walls: \"false\"", False), ("walls: false", False), ("walls: no", False),
+    ("walls: \"0\"", False), ("walls: \"true\"", True), ("walls: 1", True),
+    ("", True)])
+def test_config_walls_parsed_like_the_flag(tmp_path, monkeypatch, text,
+                                           walls):
+    seen = []
+
+    def capture(cfg):            # stop once the SimConfig is built
+        seen.append(cfg)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(cli, "run", capture)
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(f"lx: 8\nly: 8\n{text}\n")
+    main(["simulate", "--config", str(cfgfile), "--outdir", str(tmp_path)])
+    assert seen[0].walls is walls and seen[0].periodic_y is not walls
+    seen.clear()
+    flag = "true" if walls else "false"
+    main(["simulate", "--config", str(cfgfile), "--walls", flag,
+          "--outdir", str(tmp_path)])
+    assert seen[0].walls is walls
+
+
 def test_simulate_large_config_parses_but_is_memory_bound():
     # the big production shape from the docs parses and decomposes fine;
     # actually allocating it needs ~5 GB per buffer, beyond this sandbox

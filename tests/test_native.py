@@ -11,8 +11,8 @@ import pytest
 from thermolb import (LatticeGeometry, PhysicsParams, SimConfig,
                       allocate_field, build_velocity_set,
                       propagate_collide_fused, run)
-from thermolb import native
-from thermolb.errors import DegenerateStateError, DomainError
+from thermolb import kernels, native, sim
+from thermolb.errors import DegenerateStateError, DomainError, ThermoLBError
 from thermolb.init import build_initial_state
 from conftest import periodic_fill
 
@@ -79,10 +79,43 @@ def test_compiled_matches_numpy_bitwise(compiled, monkeypatch, model, order,
     walls = wall_rows(g, vs)
     for name, (xs, ys) in regions(g).items():
         nxt = type(prv)(g, "nxt")
-        assert native.fused(prv, nxt, params, vs, xs, ys, walls), name
+        assert native.fused(prv, nxt, params, vs, xs, ys, walls) is not None, name
         want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
         assert np.array_equal(nxt.pops, want), name
         assert np.all(nxt.pops[:, xs, ys] != 0.0), name
+
+
+@pytest.mark.parametrize("layout", ["soa", "aos"])
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_region_list_equals_regions_one_at_a_time(compiled, model, layout):
+    vs = build_velocity_set(model)
+    g, prv = make_state(vs, layout, "rayleigh-taylor")
+    # strong noise and over-relaxation, so the kernel writes negative values
+    noise = np.random.default_rng(3).standard_normal((vs.Q, LX, LY))
+    prv.pops[:, g.phys_x, g.phys_y] *= 1.0 + 0.3 * noise
+    periodic_fill(prv)
+    params = PhysicsParams(tau=0.52, gy=-1e-3)
+    walls = wall_rows(g, vs)
+    x0, x1, y0, y1 = g.Hx, g.Hx + g.Lx, g.Hy, g.Hy + g.Ly
+    boxes = [(slice(x0 + 3, x1 - 3), slice(y0, y1)),
+             (slice(x0, x0 + 3), slice(y0, y1)),
+             (slice(x1 - 3, x1), slice(y0 + 1, y1))]
+    together = type(prv)(g, "nxt")
+    plan = native.Plan(prv, together, params, vs, walls)
+    got = propagate_collide_fused(prv, together, params, vs, boxes, walls,
+                                  plan)
+    apart = type(prv)(g, "nxt")
+    want = sum(native.fused(prv, apart, params, vs, xs, ys, walls)
+               for xs, ys in boxes)
+    assert np.array_equal(together.pops, apart.pops)
+    assert got == want > 0
+    assert want == kernels.count_negative(apart.pops[:, g.phys_x, g.phys_y])
+    # the plan serves its own buffers in either order, and nothing else
+    assert plan.serves(together, prv, params, vs, walls)
+    assert not plan.serves(prv, apart, params, vs, walls)
+    assert not plan.serves(prv, together, params, vs, tuple(list(walls)))
+    assert not plan.serves(prv, together, PhysicsParams(tau=0.52, gy=-1e-3),
+                           vs, walls)
 
 
 def raised_on_both_paths(monkeypatch, exc_type, prv, params, vs, walls):
@@ -134,6 +167,99 @@ def test_run_bit_identical_to_numpy_path(compiled, monkeypatch, Np, tiling,
     monkeypatch.setattr(native, "_lib", None)
     slow = run(cfg)
     assert np.array_equal(fast.populations, slow.populations)
+
+
+NEGATIVE_RUN = dict(Lx=32, Ly=32, model="D2Q37", steps=6,
+                    init="rayleigh-taylor",
+                    init_kwargs={"perturbation": 0.3},
+                    params=PhysicsParams(tau=0.52, gy=-1e-3, Twall_top=0.5,
+                                         Twall_bot=1.2))
+
+
+def negatives_rows(result):
+    return [(m["step"], m["rank"], m["negatives"]) for m in result.metrics]
+
+
+@pytest.mark.parametrize("layout", ["soa", "aos"])
+@pytest.mark.parametrize("Np,tiling,schedule", [(1, "1d", "staged"),
+                                                (2, (1, 2), "overlapped"),
+                                                (4, (2, 2), "overlapped")])
+def test_in_kernel_negative_count_matches_numpy(compiled, monkeypatch, Np,
+                                                tiling, schedule, layout):
+    cfg = SimConfig(Np=Np, tiling=tiling, schedule=schedule, layout=layout,
+                    **NEGATIVE_RUN)
+    fast = run(cfg)
+    monkeypatch.setattr(native, "_lib", None)
+    slow = run(cfg)
+    assert np.array_equal(fast.populations, slow.populations)
+    assert negatives_rows(fast) == negatives_rows(slow)
+    assert sum(n for _, _, n in negatives_rows(fast)) == 1858
+
+
+def test_zero_step_run_never_resolves_the_library(monkeypatch):
+    def refuse():
+        raise AssertionError("the library was resolved")
+
+    monkeypatch.setattr(native, "_build_and_load", refuse)
+    monkeypatch.setattr(native, "_lib", native._UNRESOLVED)
+    for schedule in ("staged", "overlapped"):
+        run(SimConfig(Lx=16, Ly=16, Np=2, schedule=schedule, steps=0))
+    assert native._lib is native._UNRESOLVED
+
+
+@pytest.mark.parametrize("schedule", ["staged", "overlapped"])
+def test_step_makes_one_call_per_region_group(compiled, monkeypatch,
+                                              schedule):
+    # staged: one compiled call; overlapped: the bulk, then both frames;
+    # every call through the plan the rank built on its first step
+    calls, plans = [], []
+    plan_init, plan_run = native.Plan.__init__, native.Plan.run
+
+    def counting_init(plan, *args):
+        plans.append(plan)
+        plan_init(plan, *args)
+
+    def counting_run(plan, prv, nxt, boxes):
+        calls.append((plan, len(boxes)))
+        return plan_run(plan, prv, nxt, boxes)
+
+    def refuse(f):
+        raise AssertionError("count_negative called on the compiled path")
+
+    monkeypatch.setattr(native.Plan, "__init__", counting_init)
+    monkeypatch.setattr(native.Plan, "run", counting_run)
+    monkeypatch.setattr(kernels, "count_negative", refuse)
+    res = run(SimConfig(Np=2, tiling="1d", schedule=schedule, **NEGATIVE_RUN))
+    per_step = [1] if schedule == "staged" else [1, 2]
+    assert len(plans) == 2
+    for plan in plans:
+        boxes = [n for p, n in calls if p is plan]
+        assert boxes == per_step * NEGATIVE_RUN["steps"]
+    assert len(calls) == len(per_step) * 2 * NEGATIVE_RUN["steps"]
+    assert sum(m["negatives"] for m in res.metrics) > 0
+
+
+@pytest.mark.parametrize("Np,schedule", [(1, "staged"), (2, "overlapped")])
+def test_degenerate_run_fails_alike_on_both_paths(monkeypatch, Np, schedule):
+    # flip a patch inside rank 1's tile (rank 0's when Np=1): that rank's
+    # first kernel call meets non-positive densities
+    def flipped(*args, **kwargs):
+        f = build_initial_state(*args, **kwargs)
+        f[:, 16:20, 8:12] *= -1.0
+        return f
+
+    monkeypatch.setattr(sim, "build_initial_state", flipped)
+    cfg = SimConfig(Lx=24, Ly=20, Np=Np, schedule=schedule, steps=3,
+                    init="rayleigh-taylor")
+    messages = []
+    for lib in (native.load(), None):
+        monkeypatch.setattr(native, "_lib", lib)
+        with pytest.raises(ThermoLBError) as err:
+            run(cfg)
+        assert isinstance(err.value.__cause__, DegenerateStateError)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"rank {Np - 1} failed")
 
 
 def test_missing_compiler_falls_back_to_numpy(monkeypatch):

@@ -382,6 +382,31 @@ def test_overlapped_tiles_narrower_than_frames_bitwise(model, Lx, Np):
     assert np.array_equal(one.populations, thin.populations)
 
 
+@pytest.mark.parametrize("model, Lx, Np", [
+    ("D2Q9", 8, 4), ("D2Q9", 8, 8), ("D2Q37", 12, 4),   # the thin tiles above
+    ("D2Q9", 16, 2), ("D2Q37", 64, 1), ("D2Q37", 12, 2)])
+def test_overlapped_regions_partition_the_tile(model, Lx, Np):
+    # the bulk spans the full height; the left and right frames are as wide
+    # as the stencil reaches, and together the three cover each site once
+    vs = build_velocity_set(model)
+    tile = decompose(Lx, 16, Np, "1d")[0]
+    w = make_worker(tile, vs, Fabric(Np), schedule="overlapped")
+    g = w.geom
+    hits = np.zeros((g.NX, g.NY), dtype=int)
+    for xs, ys in [w.bulk, *w.frames]:
+        assert ys == g.phys_y
+        hits[xs, ys] += 1
+    want = np.zeros_like(hits)
+    want[g.phys_x, g.phys_y] = 1
+    assert np.array_equal(hits, want)
+    widths = [xs.stop - xs.start for xs, _ in w.frames]
+    if g.Lx >= 2 * vs.max_hop:
+        assert widths == [vs.max_hop, vs.max_hop]
+    else:
+        assert w.bulk[0].start == w.bulk[0].stop
+        assert all(0 <= n <= vs.max_hop for n in widths)
+
+
 def test_metrics_per_step_and_rank():
     res = run(SimConfig(Lx=16, Ly=8, Np=2, tiling="1d", steps=3,
                         params=PhysicsParams(tau=0.9)))
