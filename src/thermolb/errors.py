@@ -41,5 +41,10 @@ class DeadlockError(ThermoLBError):
         self.rank = rank
 
 
+class PeerAbortedError(ThermoLBError):
+    """A rank stopped waiting because another rank failed first; a
+    consequence of that failure, not a failure of its own."""
+
+
 class UnsupportedCaseError(ThermoLBError):
     """A model formula is only stated for a restricted case (e.g. square lattices)."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import native
 from .errors import (ConfigurationError, ContractViolation, DeadlockError,
-                     ProtocolError, ThermoLBError)
+                     PeerAbortedError, ProtocolError)
 from .geometry import LatticeGeometry, allocate_field, swap_buffers
 # The step calls only propagate_collide_fused, which also counts the
 # negative values it writes.  propagate, collide, bc and count_negative stay
@@ -157,7 +157,7 @@ class Fabric:
         deadline = time.monotonic() + self.timeout
         while True:
             if self.abort.is_set():
-                raise ThermoLBError(f"rank {dst}: aborted by peer failure")
+                raise PeerAbortedError(f"rank {dst}: aborted by peer failure")
             try:
                 got_step, payload = chan.get(timeout=_POLL)
             except queue.Empty:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ThermoLBError
+from .errors import ConfigurationError, PeerAbortedError, ThermoLBError
 from .geometry import MacroFields
 from .init import build_initial_state
 from .kernels import PhysicsParams, moments
@@ -101,6 +101,8 @@ def run(cfg: SimConfig) -> RunResult:
                         f"at step {s}")
                 if cfg.snapshot_every and (s + 1) % cfg.snapshot_every == 0:
                     w.snapshots.append((s + 1, w.physical_block()))
+        except PeerAbortedError:  # another rank's failure, already recorded
+            return
         except Exception as exc:  # propagate to the coordinator
             fabric.fail(w.tile.rank, exc)
 

@@ -260,6 +260,7 @@ def test_degenerate_run_fails_alike_on_both_paths(monkeypatch, Np, schedule):
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"rank {Np - 1} failed")
+    assert messages[0].endswith("(1 rank failure(s) total)")
 
 
 def test_missing_compiler_falls_back_to_numpy(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from thermolb import (PhysicsParams, RankWorker, SimConfig,
                       build_velocity_set, decompose, face_plans, run)
-from thermolb.errors import (ConfigurationError, DeadlockError, ProtocolError)
+from thermolb.errors import (ConfigurationError, DeadlockError,
+                             PeerAbortedError, ProtocolError)
 from thermolb.runtime import Fabric, boundary_bytes_per_site
 
 
@@ -93,6 +94,16 @@ def test_fabric_deadlock_names_rank():
     fab = Fabric(2, timeout=0.2)
     with pytest.raises(DeadlockError, match="rank 1 stalled"):
         fab.recv(1, 0, "x+", 0)
+
+
+def test_fabric_peer_abort_is_not_a_failure():
+    # a rank waiting when a peer fails stops with its own error class, so
+    # the coordinator counts only the failure that caused the abort
+    fab = Fabric(2, timeout=5.0)
+    fab.fail(0, RuntimeError("boom"))
+    with pytest.raises(PeerAbortedError, match="rank 1: aborted"):
+        fab.recv(1, 0, "x+", 0)
+    assert [rank for rank, _ in fab.failures] == [0]
 
 
 # ---------------------------------------------------------- halo exchange --
