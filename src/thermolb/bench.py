@@ -1,5 +1,9 @@
 """Desk-hardware analogs of the communication and layout micro-benchmarks.
 
+The layout benchmark times the fused kernel, the call a rank's step makes,
+on a structure-of-arrays (SoA) tile and on its array-of-structures (AoS)
+copy.  Runs store SoA only; AoS lives on here as the measured alternative.
+
 Every benchmark validates the measured operation before timing it, and
 reports dispersion (min/median/max) over at least 5 repetitions.  Timing uses
 a monotonic clock with warm-up iterations discarded.
@@ -13,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .geometry import LatticeGeometry, allocate_field
-from .kernels import PhysicsParams, collide, propagate
+from .kernels import PhysicsParams, propagate_collide_fused
 from .planner import BandwidthTable, CostModelInput
 from .runtime import DEFAULT_HALO, Fabric, RankWorker, decompose
 from .velocity_set import build_velocity_set
@@ -62,38 +66,27 @@ def _random_field(geom, vs, seed=0):
     return prv, nxt
 
 
-def bench_layout(Lx, Ly, kernel="propagate", layout="soa", model="D2Q37",
-                 reps=MIN_REPS, seed=0):
-    """Time one kernel over the full lattice in the given layout.
+def bench_layout(Lx, Ly, layout="soa", model="D2Q37", reps=MIN_REPS, seed=0):
+    """Time the fused kernel over the whole tile in the given layout.
 
-    The run is gated on producing bit-identical output to the SoA reference,
-    so only the memory traffic pattern differs between layouts.
+    The SoA field is the reference and other layouts are its converted
+    copies.  The run is gated on the layout's output being bit-identical to
+    the SoA output in the canonical view, so only the memory traffic pattern
+    differs between layouts.
     """
-    if kernel not in ("propagate", "collide"):
-        raise ContractViolation(f"unknown kernel {kernel!r}")
     vs = build_velocity_set(model)
     params = PhysicsParams(tau=1.0)
-    geoms = {lay: LatticeGeometry(Lx, Ly, DEFAULT_HALO, DEFAULT_HALO, vs.Q, lay)
-             for lay in ("soa", layout)}
-    fields = {lay: _random_field(geoms[lay], vs, seed) for lay in geoms}
+    geom = LatticeGeometry(Lx, Ly, DEFAULT_HALO, DEFAULT_HALO, vs.Q)
+    ref_prv, ref_nxt = _random_field(geom, vs, seed)
+    prv, nxt = ref_prv.converted(layout), ref_nxt.converted(layout)
+    propagate_collide_fused(ref_prv, ref_nxt, params, vs)
+    propagate_collide_fused(prv, nxt, params, vs)
+    if not np.array_equal(ref_nxt.pops, nxt.pops):
+        raise ContractViolation(f"layout {layout} changed the kernel output")
 
-    def run_once(lay):
-        prv, nxt = fields[lay]
-        g = geoms[lay]
-        if kernel == "propagate":
-            propagate(prv, nxt, vs)
-            return nxt.pops[:, g.phys_x, g.phys_y]
-        block = prv.pops[:, g.phys_x, g.phys_y]
-        return collide(block, params, vs)
-
-    ref = np.asarray(run_once("soa"))
-    out = np.asarray(run_once(layout))
-    if not np.array_equal(ref, out):
-        raise ContractViolation(f"layout {layout} changed {kernel} output")
-
-    times = _timed(lambda: run_once(layout), reps)
+    times = _timed(lambda: propagate_collide_fused(prv, nxt, params, vs), reps)
     sites_per_s = Lx * Ly / statistics.median(times)
-    return BenchResult(f"{kernel}_{layout}", {"size": (Lx, Ly)},
+    return BenchResult(f"fused_{layout}", {"size": (Lx, Ly)},
                        reps, times, sites_per_s, "sites/s")
 
 

@@ -29,7 +29,11 @@ def _parse_tiling(text, Np):
 
 
 def _merge(config, args, keys):
-    """File values first, explicit flags override."""
+    """File values first, explicit flags override; a file key that is not
+    one of keys is a configuration error."""
+    for key in config:
+        if key not in keys:
+            raise ConfigurationError(f"unknown config key {key!r}")
     out = dict(config)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
@@ -79,8 +83,8 @@ def _extents(cfg):
 def cmd_simulate(args):
     config = io_mod.load_config(args.config) if args.config else {}
     keys = ["lx", "ly", "model", "tiling", "np", "schedule", "steps", "tau",
-            "gx", "gy", "twall_top", "twall_bot", "init", "layout", "seed",
-            "snapshot_every", "outdir", "tdp_watts", "walls"]
+            "gx", "gy", "twall_top", "twall_bot", "init", "seed",
+            "snapshot_every", "outdir", "tdp_watts", "walls", "init_kwargs"]
     cfg = _merge(config, args, keys)
     Lx, Ly = _extents(cfg)
     Np = _value(cfg, "np", int, 1)
@@ -101,8 +105,8 @@ def cmd_simulate(args):
         Lx=Lx, Ly=Ly, model=vsname, tiling=tiling,
         Np=Np, schedule=cfg.get("schedule", "overlapped"),
         steps=_value(cfg, "steps", int, 0), params=params, walls=walls,
-        periodic_y=not walls, layout=cfg.get("layout", "soa"),
-        init=cfg.get("init", "uniform"), init_kwargs=init_kwargs,
+        periodic_y=not walls, init=cfg.get("init", "uniform"),
+        init_kwargs=init_kwargs,
         snapshot_every=_value(cfg, "snapshot_every", int, 0),
     )
     tdp_watts = _value(cfg, "tdp_watts", float, 0.0)
@@ -169,14 +173,11 @@ def cmd_bench(args):
     if which == "layout":
         rows = []
         for layout in ("soa", "aos"):
-            for kernel in ("propagate", "collide"):
-                r = bench_mod.bench_layout(args.size, args.size, kernel=kernel,
-                                           layout=layout)
-                rows.append([kernel, layout, r.repetitions, repr(r.median),
-                             repr(r.min), repr(r.max), repr(r.metric)])
-        io_mod.write_table(out, ["kernel", "layout", "reps", "median [s]",
-                                 "min [s]", "max [s]", "throughput [sites/s]"],
-                          rows)
+            r = bench_mod.bench_layout(args.size, args.size, layout=layout)
+            rows.append([layout, r.repetitions, repr(r.median), repr(r.min),
+                         repr(r.max), repr(r.metric)])
+        io_mod.write_table(out, ["layout", "reps", "median [s]", "min [s]",
+                                 "max [s]", "throughput [sites/s]"], rows)
     elif which == "misalignment":
         rows = []
         for offset in range(0, 65, 8):
@@ -234,7 +235,6 @@ def build_parser():
     s.add_argument("--twall-bot", type=float)
     s.add_argument("--init", choices=["uniform", "random", "taylor-green",
                                       "rayleigh-taylor"])
-    s.add_argument("--layout", choices=["soa", "aos"])
     s.add_argument("--seed", type=int)
     s.add_argument("--snapshot-every", type=int)
     s.add_argument("--outdir")

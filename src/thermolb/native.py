@@ -198,12 +198,3 @@ class Plan:
                                self._wrows, self._wT, self._model,
                                ctypes.byref(negatives))
         return negatives.value if status == 0 else None
-
-
-def fused(prv, nxt, params, vs, xs, ys, walls):
-    """Run tlb_fused on one physical region with a throwaway plan.
-
-    Returns the number of negative values written, or None when the
-    compiled kernel did not do the region (see Plan.run).
-    """
-    return Plan(prv, nxt, params, vs, walls).run(prv, nxt, [(xs, ys)])

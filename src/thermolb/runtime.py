@@ -9,10 +9,10 @@ Only populations whose hop component crosses a face are exchanged: for halo
 depth d the set {l : c_l . n >= d}, which for D2Q37 amounts to 26 values per
 boundary site across the 3-deep halo.  Each worker builds a face table once,
 whose flat storage indices make every pack one gather and every unpack one
-scatter, for either axis and layout.  The Y (non-contiguous) faces cover
-physical columns only and are exchanged before the X (contiguous) faces,
-which span the full padded height, so corner halo cells pick up
-diagonal-neighbor data from the forwarded columns.
+scatter, for either axis.  The Y (non-contiguous) faces cover physical
+columns only and are exchanged before the X (contiguous) faces, which span
+the full padded height, so corner halo cells pick up diagonal-neighbor data
+from the forwarded columns.  Tiles are stored structure-of-arrays.
 
 A step makes one kernel call per region group.  The staged schedule
 exchanges Y, then X, then runs the whole tile.  The overlapped schedule
@@ -201,8 +201,7 @@ class RankWorker:
     """One rank: owns a tile's double buffer and runs the step loop."""
 
     def __init__(self, tile, vs, params, fabric, schedule="staged",
-                 walls=True, layout="soa", halo=DEFAULT_HALO,
-                 debug_poison=False):
+                 walls=True, halo=DEFAULT_HALO, debug_poison=False):
         self.tile = tile
         self.vs = vs
         self.params = params
@@ -210,7 +209,7 @@ class RankWorker:
         self.schedule = schedule
         self.walls = walls
         self.debug_poison = debug_poison
-        self.geom = LatticeGeometry(tile.Lx, tile.Ly, halo, halo, vs.Q, layout)
+        self.geom = LatticeGeometry(tile.Lx, tile.Ly, halo, halo, vs.Q)
         self.prv, self.nxt = allocate_field(self.geom, vs)
         self.plans = face_plans(vs, halo)
         self.halo = halo

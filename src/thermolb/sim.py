@@ -29,7 +29,6 @@ class SimConfig:
         default_factory=lambda: PhysicsParams(tau=1.0, gx=0.0, gy=-1e-4))
     walls: bool = True
     periodic_y: bool = False
-    layout: str = "soa"
     halo: int = DEFAULT_HALO
     init: str = "uniform"
     init_kwargs: dict = field(default_factory=dict)
@@ -53,8 +52,10 @@ class SimConfig:
                 f"got {self.tiling!r}")
         if self.schedule not in ("staged", "overlapped"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-        if self.walls and self.periodic_y:
-            raise ConfigurationError("walls and periodic_y are mutually exclusive")
+        if self.walls == self.periodic_y:
+            raise ConfigurationError(
+                "exactly one of walls and periodic_y must be set: walls bound "
+                "the Y axis, periodic_y wraps it")
 
 
 @dataclass
@@ -82,7 +83,7 @@ def run(cfg: SimConfig) -> RunResult:
     workers = []
     for tile in tiles:
         w = RankWorker(tile, vs, cfg.params, fabric, schedule=cfg.schedule,
-                       walls=cfg.walls, layout=cfg.layout, halo=cfg.halo,
+                       walls=cfg.walls, halo=cfg.halo,
                        debug_poison=cfg.debug_poison)
         w.prv.pops[:, w.geom.phys_x, w.geom.phys_y] = \
             f0[:, tile.x0:tile.x0 + tile.Lx, tile.y0:tile.y0 + tile.Ly]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermolb import PopulationField, bench
 from thermolb.bench import (BenchResult, bench_halo_exchange, bench_layout,
                             bench_misalignment, cost_input_from_tables)
 from thermolb.errors import ContractViolation
@@ -14,19 +15,34 @@ def test_result_statistics():
     assert r.max == 5.0
 
 
-@pytest.mark.parametrize("kernel", ["propagate", "collide"])
 @pytest.mark.parametrize("layout", ["soa", "aos"])
-def test_layout_bench_reports_rate(kernel, layout):
-    r = bench_layout(12, 12, kernel=kernel, layout=layout, model="D2Q9")
+def test_layout_bench_reports_rate(layout):
+    r = bench_layout(12, 12, layout=layout, model="D2Q9")
     assert r.repetitions >= 5
     assert len(r.times) == r.repetitions
     assert r.metric > 0 and r.metric_name == "sites/s"
     assert all(t > 0 for t in r.times)
 
 
-def test_layout_bench_rejects_unknown_kernel():
-    with pytest.raises(ContractViolation):
-        bench_layout(8, 8, kernel="stream")
+def test_layout_bench_gates_on_bit_identical_output(monkeypatch):
+    # an AoS copy one ulp off in one physical site must stop the benchmark
+    # before it times anything
+    convert = PopulationField.converted
+
+    def perturbed(field, layout):
+        copy = convert(field, layout)
+        if field.role == "prv":
+            g = copy.geom
+            site = copy.pops[:, g.Hx + 2, g.Hy + 3]
+            site[4] = np.nextafter(site[4], np.inf)
+        return copy
+
+    monkeypatch.setattr(PopulationField, "converted", perturbed)
+    timed = []
+    monkeypatch.setattr(bench, "_timed", lambda *a: timed.append(a))
+    with pytest.raises(ContractViolation, match="aos"):
+        bench_layout(12, 12, layout="aos", model="D2Q9")
+    assert not timed
 
 
 def test_misalignment_modes():

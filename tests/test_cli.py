@@ -159,6 +159,41 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, text,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", "lx: 8\nly: 8\nstpes: 5\n", "'stpes'"),
+    ("simulate", "lx: 8\nly: 8\nlayout: aos\n", "'layout'"),
+    ("plan", "lx: 64\nly: 64\nnplist: 1,2\n", "'nplist'"),
+], ids=["simulate-typo", "simulate-layout", "plan-typo"])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, command, text,
+                                            key):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfgfile),
+               "--out" if command == "plan" else "--outdir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key {key}" in err
+    assert not out.exists()                 # refused before running
+
+
+def test_simulate_config_keeps_init_kwargs(tmp_path):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("lx: 8\nly: 8\nsteps: 1\ninit: taylor-green\n"
+                       "walls: false\ninit_kwargs:\n  u0: 0.01\n")
+    rc = main(["simulate", "--config", str(cfgfile),
+               "--outdir", str(tmp_path / "o")])
+    assert rc == 0
+
+
+def test_simulate_layout_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--lx", "8", "--ly", "8", "--layout", "aos",
+              "--outdir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--layout" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, walls", [
     ("walls: \"false\"", False), ("walls: false", False), ("walls: no", False),
     ("walls: \"0\"", False), ("walls: \"true\"", True), ("walls: 1", True),
@@ -232,7 +267,8 @@ def test_bench_layout_cli(tmp_path):
     rc = main(["bench", "layout", "--size", "12", "--out", str(out)])
     assert rc == 0
     rows = read_csv(out)
-    assert len(rows) == 1 + 4              # soa/aos x propagate/collide
+    assert len(rows) == 1 + 2              # one row per layout
+    assert [r[0] for r in rows[1:]] == ["soa", "aos"]
     assert rows[0][-1] == "throughput [sites/s]"
 
 

@@ -79,7 +79,8 @@ def test_compiled_matches_numpy_bitwise(compiled, monkeypatch, model, order,
     walls = wall_rows(g, vs)
     for name, (xs, ys) in regions(g).items():
         nxt = type(prv)(g, "nxt")
-        assert native.fused(prv, nxt, params, vs, xs, ys, walls) is not None, name
+        plan = native.Plan(prv, nxt, params, vs, walls)
+        assert plan.run(prv, nxt, [(xs, ys)]) is not None, name
         want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
         assert np.array_equal(nxt.pops, want), name
         assert np.all(nxt.pops[:, xs, ys] != 0.0), name
@@ -105,8 +106,8 @@ def test_region_list_equals_regions_one_at_a_time(compiled, model, layout):
     got = propagate_collide_fused(prv, together, params, vs, boxes, walls,
                                   plan)
     apart = type(prv)(g, "nxt")
-    want = sum(native.fused(prv, apart, params, vs, xs, ys, walls)
-               for xs, ys in boxes)
+    one_by_one = native.Plan(prv, apart, params, vs, walls)
+    want = sum(one_by_one.run(prv, apart, [box]) for box in boxes)
     assert np.array_equal(together.pops, apart.pops)
     assert got == want > 0
     assert want == kernels.count_negative(apart.pops[:, g.phys_x, g.phys_y])
@@ -180,14 +181,12 @@ def negatives_rows(result):
     return [(m["step"], m["rank"], m["negatives"]) for m in result.metrics]
 
 
-@pytest.mark.parametrize("layout", ["soa", "aos"])
 @pytest.mark.parametrize("Np,tiling,schedule", [(1, "1d", "staged"),
                                                 (2, (1, 2), "overlapped"),
                                                 (4, (2, 2), "overlapped")])
 def test_in_kernel_negative_count_matches_numpy(compiled, monkeypatch, Np,
-                                                tiling, schedule, layout):
-    cfg = SimConfig(Np=Np, tiling=tiling, schedule=schedule, layout=layout,
-                    **NEGATIVE_RUN)
+                                                tiling, schedule):
+    cfg = SimConfig(Np=Np, tiling=tiling, schedule=schedule, **NEGATIVE_RUN)
     fast = run(cfg)
     monkeypatch.setattr(native, "_lib", None)
     slow = run(cfg)

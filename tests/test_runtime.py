@@ -246,13 +246,11 @@ def _run_threads(ws, fn):
     assert not any(t.is_alive() for t in th)
 
 
-@pytest.mark.parametrize("layout", ["soa", "aos"])
 @pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
 @pytest.mark.parametrize("Np, tiling, walls", [
     (1, "1d", False), (2, "1d", False), (4, "1d", False),
     (4, (2, 2), False), (8, (2, 4), False), (2, (1, 2), True)])
-def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
-                                                    walls):
+def test_exchange_fills_halos_like_a_padded_lattice(model, Np, tiling, walls):
     # The oracle knows nothing of the face table: pad the global state the
     # way the physics sees it (Y wrapped, or edge-extended at walls; X
     # wrapped) and compare every value a crossing population brings in.
@@ -263,7 +261,7 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
                   mode="edge" if walls else "wrap")
     want = np.pad(want, ((0, 0), (H, H), (0, 0)), mode="wrap")
     fab = Fabric(Np, timeout=5.0)
-    ws = [make_worker(t, vs, fab, walls=walls, layout=layout)
+    ws = [make_worker(t, vs, fab, walls=walls)
           for t in decompose(Lx, Ly, Np, tiling, periodic_y=not walls)]
     for w in ws:
         t, g = w.tile, w.geom
@@ -291,14 +289,13 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
             assert np.array_equal(got[:, g.phys_x, rows], ref[:, g.phys_x, rows])
 
 
-@pytest.mark.parametrize("layout", ["soa", "aos"])
 @pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
-def test_single_wall_rank_pack_y_round_trip(model, layout):
+def test_single_wall_rank_pack_y_round_trip(model):
     # a wall-bounded rank has no Y neighbor, yet its Y faces pack and
     # unpack: fed its own payload, the pair acts as a periodic Y wrap
     vs = build_velocity_set(model)
     tile = decompose(12, 16, 1, "1d")[0]
-    w = make_worker(tile, vs, Fabric(1), layout=layout)
+    w = make_worker(tile, vs, Fabric(1))
     g = w.geom
     glob = np.random.default_rng(5).random((vs.Q, g.Lx, g.Ly))
     w.prv.pops[...] = np.nan
@@ -467,3 +464,12 @@ def test_config_rejects_negative_snapshot_every():
 def test_config_rejects_bad_tiling(tiling):
     with pytest.raises(ConfigurationError, match="tiling"):
         SimConfig(Lx=8, Ly=8, Np=2, tiling=tiling)
+
+
+@pytest.mark.parametrize("walls, periodic_y", [(False, False), (True, True)])
+def test_config_needs_exactly_one_y_boundary(walls, periodic_y):
+    # without walls and without a Y ring the outer Y halos are never filled
+    # and the run loses mass without an error
+    with pytest.raises(ConfigurationError, match="exactly one of walls"):
+        SimConfig(Lx=16, Ly=16, model="D2Q9", walls=walls,
+                  periodic_y=periodic_y)
