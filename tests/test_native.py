@@ -181,13 +181,26 @@ def negatives_rows(result):
     return [(m["step"], m["rank"], m["negatives"]) for m in result.metrics]
 
 
+# runs store SoA only; the layout stays in the case id and is checked on
+# every plan the compiled run builds
+@pytest.mark.parametrize("layout", ["soa"])
 @pytest.mark.parametrize("Np,tiling,schedule", [(1, "1d", "staged"),
                                                 (2, (1, 2), "overlapped"),
                                                 (4, (2, 2), "overlapped")])
 def test_in_kernel_negative_count_matches_numpy(compiled, monkeypatch, Np,
-                                                tiling, schedule):
+                                                tiling, schedule, layout):
     cfg = SimConfig(Np=Np, tiling=tiling, schedule=schedule, **NEGATIVE_RUN)
-    fast = run(cfg)
+    built = []
+
+    class RecordingPlan(native.Plan):
+        def __init__(self, prv, nxt, *args):
+            built.append((prv.geom.layout, nxt.geom.layout))
+            super().__init__(prv, nxt, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(native, "Plan", RecordingPlan)
+        fast = run(cfg)
+    assert len(built) == Np and set(built) == {(layout, layout)}
     monkeypatch.setattr(native, "_lib", None)
     slow = run(cfg)
     assert np.array_equal(fast.populations, slow.populations)

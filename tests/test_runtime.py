@@ -246,11 +246,15 @@ def _run_threads(ws, fn):
     assert not any(t.is_alive() for t in th)
 
 
+# runs store SoA only; the layout stays in the case id and is checked on
+# every worker's geometry
+@pytest.mark.parametrize("layout", ["soa"])
 @pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
 @pytest.mark.parametrize("Np, tiling, walls", [
     (1, "1d", False), (2, "1d", False), (4, "1d", False),
     (4, (2, 2), False), (8, (2, 4), False), (2, (1, 2), True)])
-def test_exchange_fills_halos_like_a_padded_lattice(model, Np, tiling, walls):
+def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
+                                                    walls):
     # The oracle knows nothing of the face table: pad the global state the
     # way the physics sees it (Y wrapped, or edge-extended at walls; X
     # wrapped) and compare every value a crossing population brings in.
@@ -265,6 +269,7 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, Np, tiling, walls):
           for t in decompose(Lx, Ly, Np, tiling, periodic_y=not walls)]
     for w in ws:
         t, g = w.tile, w.geom
+        assert g.layout == layout
         w.prv.pops[...] = np.nan
         w.prv.pops[:, g.phys_x, g.phys_y] = \
             glob[:, t.x0:t.x0 + t.Lx, t.y0:t.y0 + t.Ly]
@@ -289,14 +294,16 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, Np, tiling, walls):
             assert np.array_equal(got[:, g.phys_x, rows], ref[:, g.phys_x, rows])
 
 
+@pytest.mark.parametrize("layout", ["soa"])
 @pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
-def test_single_wall_rank_pack_y_round_trip(model):
+def test_single_wall_rank_pack_y_round_trip(model, layout):
     # a wall-bounded rank has no Y neighbor, yet its Y faces pack and
     # unpack: fed its own payload, the pair acts as a periodic Y wrap
     vs = build_velocity_set(model)
     tile = decompose(12, 16, 1, "1d")[0]
     w = make_worker(tile, vs, Fabric(1))
     g = w.geom
+    assert g.layout == layout
     glob = np.random.default_rng(5).random((vs.Q, g.Lx, g.Ly))
     w.prv.pops[...] = np.nan
     w.prv.pops[:, g.phys_x, g.phys_y] = glob
