@@ -9,6 +9,7 @@ reports dispersion (min/median/max) over at least 5 repetitions.  Timing uses
 a monotonic clock with warm-up iterations discarded.
 """
 
+import itertools
 import statistics
 import time
 from dataclasses import dataclass
@@ -47,14 +48,21 @@ class BenchResult:
         return max(self.times)
 
 
-def _timed(fn, reps, warmup=3):
+def _timed(fns, reps, warmup=3):
+    """Seconds per call of each of fns, reps of each.
+
+    Every repetition calls each function once in turn, so that they are all
+    timed in the same machine state.  Returns one list per function.
+    """
     for _ in range(warmup):
-        fn()
-    times = []
+        for fn in fns:
+            fn()
+    times = [[] for _ in fns]
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        for fn, out in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
     return times
 
 
@@ -84,7 +92,8 @@ def bench_layout(Lx, Ly, layout="soa", model="D2Q37", reps=MIN_REPS, seed=0):
     if not np.array_equal(ref_nxt.pops, nxt.pops):
         raise ContractViolation(f"layout {layout} changed the kernel output")
 
-    times = _timed(lambda: propagate_collide_fused(prv, nxt, params, vs), reps)
+    [times] = _timed(
+        [lambda: propagate_collide_fused(prv, nxt, params, vs)], reps)
     sites_per_s = Lx * Ly / statistics.median(times)
     return BenchResult(f"fused_{layout}", {"size": (Lx, Ly)},
                        reps, times, sites_per_s, "sites/s")
@@ -112,7 +121,7 @@ def bench_misalignment(buffer_bytes, offset, mode="mraw", reps=MIN_REPS):
     if not np.array_equal(got, expect):
         raise ContractViolation("copy verification failed")
 
-    times = _timed(copy, reps)
+    [times] = _timed([copy], reps)
     gbps = 2.0 * n / statistics.median(times)  # read + write traffic
     return BenchResult(f"misalign_{mode}", {"bytes": buffer_bytes,
                                             "offset": offset},
@@ -145,6 +154,18 @@ def _exchange(workers, step, axis):
         w.recv(w.prv, step, axis)
 
 
+def _exchange_rounds(workers, axis, inner):
+    """A call that makes inner exchanges along axis, each with a new step
+    tag."""
+    tags = itertools.count(1)
+
+    def one_round():
+        for _ in range(inner):
+            _exchange(workers, next(tags), axis)
+
+    return one_round
+
+
 def _verify_exchange(workers, axis):
     """Rank 0's first low halo slab along axis must hold rank 1's last
     physical slab, over the span the face covers: the full padded height
@@ -169,29 +190,29 @@ def _verify_exchange(workers, axis):
 def bench_halo_exchange(edges, model="D2Q37", reps=7, inner=4):
     """Round-trip bandwidth of contiguous (X) and non-contiguous (Y) updates.
 
+    For each edge the two kinds are timed in alternation, repetition by
+    repetition, so that a drift in machine speed cannot favour either one.
     Returns (results, tables); tables maps kind -> [(message_bytes, bw)] and
     feeds straight into the planner.
     """
-    results = []
-    tables = {"contiguous": [], "non_contiguous": []}
-    for axis, kind in ((0, "contiguous"), (1, "non_contiguous")):
-        for edge in edges:
+    kinds = {0: "contiguous", 1: "non_contiguous"}
+    results = {kind: [] for kind in kinds.values()}
+    tables = {kind: [] for kind in kinds.values()}
+    for edge in edges:
+        rounds, sizes = [], []
+        for axis in kinds:
             workers, nbytes = _exchange_pair(edge, axis, model)
             _verify_exchange(workers, axis)
-            counter = [0]
-
-            def one_round():
-                for _ in range(inner):
-                    counter[0] += 1
-                    _exchange(workers, counter[0], axis)
-
-            times = _timed(one_round, reps)
+            rounds.append(_exchange_rounds(workers, axis, inner))
+            sizes.append(nbytes)
+        for kind, nbytes, times in zip(kinds.values(), sizes,
+                                       _timed(rounds, reps)):
             bw = inner * nbytes / statistics.median(times)
             msg_bytes = nbytes // 4  # one message of the four per exchange
-            results.append(BenchResult(
+            results[kind].append(BenchResult(
                 f"halo_{kind}", {"edge": edge}, reps, times, bw, "bytes/s"))
             tables[kind].append((msg_bytes, bw))
-    return results, tables
+    return [r for kind in kinds.values() for r in results[kind]], tables
 
 
 def cost_input_from_tables(tables, Lx, Ly, Np, beta, S=26 * 8):

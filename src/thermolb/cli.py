@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 
 import argparse
 import os
+import shutil
 import sys
 import traceback
 
@@ -120,13 +121,23 @@ def cmd_simulate(args):
         [[m["step"], m["rank"], repr(m["t_comm_nc"]), repr(m["t_comm_c"]),
           repr(m["t_bulk"]), repr(m["t_border"]), m["negatives"]]
          for m in result.metrics])
-    for step, macro in result.snapshots:
-        io_mod.write_pgm(os.path.join(outdir, f"T_{step:06d}.pgm"), macro.T)
-        io_mod.write_macro_csv(os.path.join(outdir, f"macro_{step:06d}.csv"),
-                               macro)
-    io_mod.write_pgm(os.path.join(outdir, "T_final.pgm"), result.macro.T)
-    io_mod.write_macro_csv(os.path.join(outdir, "macro_final.csv"),
-                           result.macro)
+
+    def write_fields(tag, macro):
+        paths = (os.path.join(outdir, f"T_{tag}.pgm"),
+                 os.path.join(outdir, f"macro_{tag}.csv"))
+        io_mod.write_pgm(paths[0], macro.T)
+        io_mod.write_macro_csv(paths[1], macro)
+        return paths
+
+    written = [(macro, write_fields(f"{step:06d}", macro))
+               for step, macro in result.snapshots]
+    if written and written[-1][0] is result.macro:
+        # the last snapshot is the final state: copy its files
+        for src, name in zip(written[-1][1],
+                             ("T_final.pgm", "macro_final.csv")):
+            shutil.copyfile(src, os.path.join(outdir, name))
+    else:
+        write_fields("final", result.macro)
     lines = [f"steps: {sim.steps}", f"wall_seconds: {result.wall_seconds:.6f}",
              f"MLUPS: {result.mlups:.3f}", f"kernels: {native.kernel_path()}"]
     if tdp_watts and result.wall_seconds > 0 and sim.steps > 0:

@@ -24,20 +24,29 @@ def write_pgm(path, values):
         fh.write(img.tobytes())
 
 
+# The header as csv.writer writes it: no field needs quoting, and each row
+# ends in "\r\n".
+_MACRO_HEADER = ("x [site],y [site],rho [lattice],ux [lattice],uy [lattice],"
+                 "T [lattice]\r\n")
+
+
 def write_macro_csv(path, macro: MacroFields):
-    """Row-major CSV of the macroscopic fields with a labelled header."""
-    Lx, Ly = macro.rho.shape
+    """Row-major CSV of the macroscopic fields with a labelled header.
+
+    The bytes are those of csv.writer with each value written as the repr of
+    its float; the rows of one x are formatted in one pass and written with
+    one call.
+    """
+    fields = [np.asarray(a, dtype=np.float64)
+              for a in (macro.rho, macro.ux, macro.uy, macro.T)]
+    Lx, Ly = fields[0].shape
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x [site]", "y [site]", "rho [lattice]", "ux [lattice]",
-                    "uy [lattice]", "T [lattice]"])
+        fh.write(_MACRO_HEADER)
         for x in range(Lx):
-            for y in range(Ly):
-                w.writerow([x, y,
-                            repr(float(macro.rho[x, y])),
-                            repr(float(macro.ux[x, y])),
-                            repr(float(macro.uy[x, y])),
-                            repr(float(macro.T[x, y]))])
+            fh.write("".join([
+                f"{x},{y},{rho!r},{ux!r},{uy!r},{T!r}\r\n"
+                for y, rho, ux, uy, T in zip(
+                    range(Ly), *(a[x].tolist() for a in fields))]))
 
 
 def write_table(path, header, rows):

@@ -44,6 +44,15 @@ class PhysicsParams:
             raise DomainError("only D=2 is supported")
 
 
+def check_density(rho):
+    """Raise DegenerateStateError naming the sites where rho is not > 0."""
+    if not np.all(rho > 0.0):
+        bad = np.argwhere(~(rho > 0.0))
+        raise DegenerateStateError(
+            f"non-positive density at {bad[:5].tolist()}", sites=bad
+        )
+
+
 def moments(f, vs: VelocitySet, check=True):
     """Density, velocity and temperature of a (Q, ...) population block.
 
@@ -65,11 +74,8 @@ def moments(f, vs: VelocitySet, check=True):
         c2 = cx[l] * cx[l] + cy[l] * cy[l]
         if c2 != 0.0:
             e2 = e2 + c2 * f[l]
-    if check and not np.all(rho > 0.0):
-        bad = np.argwhere(~(rho > 0.0))
-        raise DegenerateStateError(
-            f"non-positive density at {bad[:5].tolist()}", sites=bad
-        )
+    if check:
+        check_density(rho)
     ux = mx / rho
     uy = my / rho
     # D rho T = e2 - 2 u.m + |u|^2 rho, with m = rho u this is e2 - rho |u|^2.

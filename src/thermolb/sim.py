@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigurationError, PeerAbortedError, ThermoLBError
 from .geometry import MacroFields
 from .init import build_initial_state
-from .kernels import PhysicsParams, moments
+from .kernels import PhysicsParams, check_density, moments
 from .runtime import DEFAULT_HALO, Fabric, RankWorker, decompose
 from .velocity_set import build_velocity_set
 
@@ -73,6 +73,33 @@ def _macro_of(f, vs):
     return MacroFields(rho, ux, uy, T)
 
 
+def _reduce_snapshots(workers, Lx, Ly, vs):
+    """[(step, MacroFields)] from the ranks' snapshot blocks.
+
+    Each block is reduced to rho, u and T on its own, into global fields;
+    moments works site by site, so the bits are those of a reduction over
+    the stitched populations.  Each block is released once reduced, and the
+    density check runs on the stitched rho so that its sites are global.
+    """
+    out = []
+    for i, (step, _) in enumerate(workers[0].snapshots):
+        macro = MacroFields(*(np.empty((Lx, Ly)) for _ in range(4)))
+        for w in workers:
+            _, block = w.snapshots[i]
+            w.snapshots[i] = None
+            t = w.tile
+            sites = (slice(t.x0, t.x0 + t.Lx), slice(t.y0, t.y0 + t.Ly))
+            # a bad site divides by zero here; check_density reports it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                parts = moments(block, vs, check=False)
+            for field, part in zip(
+                    (macro.rho, macro.ux, macro.uy, macro.T), parts):
+                field[sites] = part
+        check_density(macro.rho)
+        out.append((step, macro))
+    return out
+
+
 def run(cfg: SimConfig) -> RunResult:
     """Execute cfg.steps time steps on cfg.Np simulated ranks."""
     vs = build_velocity_set(cfg.model)
@@ -100,7 +127,9 @@ def run(cfg: SimConfig) -> RunResult:
                     raise ThermoLBError(
                         f"rank {w.tile.rank}: NaN reached physical cells "
                         f"at step {s}")
-                if cfg.snapshot_every and (s + 1) % cfg.snapshot_every == 0:
+                if (cfg.snapshot_every and (s + 1) % cfg.snapshot_every == 0
+                        and s + 1 < cfg.steps):
+                    # the last step's snapshot is taken from the final state
                     w.snapshots.append((s + 1, w.physical_block()))
         except PeerAbortedError:  # another rank's failure, already recorded
             return
@@ -132,14 +161,11 @@ def run(cfg: SimConfig) -> RunResult:
         for s, row in enumerate(w.metrics):
             metrics.append({"step": s, "rank": w.tile.rank, **row})
 
-    snapshots = {}
-    for w in workers:
-        for s, block in w.snapshots:
-            snapshots.setdefault(s, np.empty_like(f0))
-            t = w.tile
-            snapshots[s][:, t.x0:t.x0 + t.Lx, t.y0:t.y0 + t.Ly] = block
-    snap_list = [(s, _macro_of(snapshots[s], vs)) for s in sorted(snapshots)]
+    snapshots = _reduce_snapshots(workers, cfg.Lx, cfg.Ly, vs)
+    macro = _macro_of(final, vs)
+    every = cfg.snapshot_every
+    if every and cfg.steps and cfg.steps % every == 0:
+        snapshots.append((cfg.steps, macro))
 
     mlups = (cfg.Lx * cfg.Ly * cfg.steps / (wall * 1e6)) if cfg.steps else 0.0
-    return RunResult(final, _macro_of(final, vs), metrics, mlups, wall,
-                     snap_list)
+    return RunResult(final, macro, metrics, mlups, wall, snapshots)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,20 @@ def periodic_fill(field):
 def random_state(geom, vs, seed=0, lo=0.5):
     rng = np.random.default_rng(seed)
     return lo + rng.random((vs.Q, geom.NX, geom.NY))
+
+
+def csv_writer_macro(path, macro):
+    """The macro CSV as csv.writer writes it, one row at a time: the
+    reference that io.write_macro_csv must match byte for byte."""
+    Lx, Ly = macro.rho.shape
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x [site]", "y [site]", "rho [lattice]", "ux [lattice]",
+                    "uy [lattice]", "T [lattice]"])
+        for x in range(Lx):
+            for y in range(Ly):
+                w.writerow([x, y,
+                            repr(float(macro.rho[x, y])),
+                            repr(float(macro.ux[x, y])),
+                            repr(float(macro.uy[x, y])),
+                            repr(float(macro.T[x, y]))])

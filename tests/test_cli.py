@@ -6,8 +6,10 @@ import pytest
 from thermolb import cli, native
 from thermolb.cli import main
 from thermolb.io import (load_config, read_bandwidth_table,
-                         write_bandwidth_table)
+                         write_bandwidth_table, write_pgm)
 from thermolb.velocity_set import build_velocity_set
+
+from conftest import csv_writer_macro
 
 
 def read_csv(path):
@@ -46,6 +48,55 @@ def test_simulate_writes_artifacts(tmp_path):
     macro = read_csv(out / "macro_final.csv")
     assert macro[0][0].startswith("x")
     assert len(macro) == 1 + 16 * 16
+
+
+def _simulate_tg9(tmp_path, monkeypatch, steps, every):
+    """Run a D2Q9 Taylor-Green simulate on two ranks; returns (outdir,
+    RunResult)."""
+    seen = []
+    real_run = cli.run
+
+    def observed_run(cfg):
+        seen.append(real_run(cfg))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "run", observed_run)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--lx", "12", "--ly", "10", "--model", "D2Q9",
+               "--np", "2", "--tiling", "1d", "--schedule", "staged",
+               "--steps", str(steps), "--tau", "0.8", "--gy", "0",
+               "--walls", "false", "--init", "taylor-green",
+               "--snapshot-every", str(every), "--outdir", str(out)])
+    assert rc == 0
+    return out, seen[0]
+
+
+def test_final_files_copy_the_last_snapshot(tmp_path, monkeypatch):
+    # steps % snapshot_every == 0: the last snapshot is the final state
+    out, result = _simulate_tg9(tmp_path, monkeypatch, steps=6, every=3)
+    assert [s for s, _ in result.snapshots] == [3, 6]
+    assert result.snapshots[-1][1] is result.macro
+    assert ((out / "macro_final.csv").read_bytes()
+            == (out / "macro_000006.csv").read_bytes())
+    assert ((out / "T_final.pgm").read_bytes()
+            == (out / "T_000006.pgm").read_bytes())
+    csv_writer_macro(tmp_path / "ref.csv", result.macro)
+    assert ((out / "macro_final.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_final_files_written_when_steps_are_off_the_cadence(tmp_path,
+                                                            monkeypatch):
+    out, result = _simulate_tg9(tmp_path, monkeypatch, steps=7, every=3)
+    assert [s for s, _ in result.snapshots] == [3, 6]
+    csv_writer_macro(tmp_path / "ref.csv", result.macro)
+    assert ((out / "macro_final.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+    write_pgm(tmp_path / "ref.pgm", result.macro.T)
+    assert ((out / "T_final.pgm").read_bytes()
+            == (tmp_path / "ref.pgm").read_bytes())
+    assert ((out / "macro_final.csv").read_bytes()
+            != (out / "macro_000006.csv").read_bytes())
 
 
 @pytest.mark.parametrize("force_numpy", [False, True])

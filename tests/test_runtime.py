@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from thermolb import (PhysicsParams, RankWorker, SimConfig,
                       build_velocity_set, decompose, face_plans, run)
 from thermolb.errors import (ConfigurationError, DeadlockError,
-                             PeerAbortedError, ProtocolError)
+                             DegenerateStateError, PeerAbortedError,
+                             ProtocolError)
 from thermolb.runtime import Fabric, boundary_bytes_per_site
 
 
@@ -440,6 +442,65 @@ def test_snapshots_cadence():
     assert [s for s, _ in res.snapshots] == [2, 4]
     for _, macro in res.snapshots:
         assert macro.rho.shape == (8, 8)
+
+
+def _tg9(**changes):
+    cfg = dict(Lx=64, Ly=64, model="D2Q9", Np=2, tiling="1d",
+               schedule="staged", steps=16, walls=False, periodic_y=True,
+               init="taylor-green", params=PhysicsParams(tau=0.8))
+    cfg.update(changes)
+    return SimConfig(**cfg)
+
+
+@pytest.mark.parametrize("Np, tiling", [(2, "1d"), (4, (2, 2))])
+def test_snapshots_reduced_per_tile_match_one_rank(Np, tiling):
+    one = run(_tg9(Lx=16, Ly=16, Np=1, steps=6, snapshot_every=2))
+    many = run(_tg9(Lx=16, Ly=16, Np=Np, tiling=tiling, steps=6,
+                    snapshot_every=2))
+    assert [s for s, _ in many.snapshots] == [2, 4, 6]
+    for (_, a), (_, b) in zip(one.snapshots, many.snapshots):
+        for name in ("rho", "ux", "uy", "T"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    # the snapshot at the last step is the final fields, not a recount
+    assert many.snapshots[-1][1] is many.macro
+
+
+def test_snapshot_memory_grows_by_the_block_and_macro_fields():
+    # Each extra snapshot may cost a rank's population block and the four
+    # macro fields, (Q + 4) doubles per site, but no global population copy.
+    run(_tg9(Lx=8, Ly=8, steps=1))        # load the kernel first
+
+    def peak(every):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(_tg9(snapshot_every=every))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    per_snapshot = (peak(1) - peak(4)) / (16 - 4)
+    Q = build_velocity_set("D2Q9").Q
+    assert per_snapshot / (64 * 64) <= 1.1 * (Q + 4) * 8
+
+
+def test_snapshot_density_error_names_global_sites(monkeypatch):
+    # A bad site in rank 1's snapshot block (x0 = 32) surfaces from the
+    # stitched density with the lattice's own coordinates.
+    real_block = RankWorker.physical_block
+
+    def block(self):
+        out = real_block(self)
+        if (self.tile.rank == 1
+                and threading.current_thread() is not threading.main_thread()):
+            out[:, 2, 3] = 0.0      # only the snapshots, not the final state
+        return out
+
+    monkeypatch.setattr(RankWorker, "physical_block", block)
+    with pytest.raises(DegenerateStateError) as err:
+        run(_tg9(steps=3, snapshot_every=2))
+    assert str(err.value) == "non-positive density at [[34, 3]]"
+    assert err.value.sites.tolist() == [[34, 3]]
 
 
 def test_deadlock_detection_surfaces():
