@@ -1,9 +1,12 @@
-/* Fused pull-gather, wall rewrite and BGK collision over a list of regions.
+/* Fused pull-gather, wall rewrite and BGK collision over a list of regions,
+   plus the equilibrium and the moments of whole arrays on their own.
 
-   This is the compiled form of thermolb.kernels.propagate_collide_fused.
-   Every expression mirrors its numpy counterpart in kernels.py (_gather,
-   _wall_equilibrium, moments, apply_shift, equilibrium, collide) term for
-   term, with the same association and in the same population order.
+   tlb_fused is the compiled form of thermolb.kernels.propagate_collide_fused;
+   tlb_equilibrium and tlb_moments are those of kernels.equilibrium and
+   kernels.moments.  Every expression mirrors its numpy counterpart in
+   kernels.py (_gather, _wall_equilibrium, moments, apply_shift, equilibrium,
+   collide) term for term, with the same association and in the same
+   population order.
    Compiled without fast-math and with -ffp-contract=off (no fused
    multiply-add), each value is rounded exactly as numpy rounds it, so both
    paths give the same bits.
@@ -12,8 +15,8 @@
    Inside a block every loop runs over populations outside and sites inside,
    so the compiler can vectorize the site loop.  Populations are addressed
    through the element strides of the canonical (Q, NX, NY) view, which
-   covers both the SoA and the AoS layout.  The function holds no state and
-   touches no Python object, so callers may run it concurrently without the
+   covers both the SoA and the AoS layout.  The functions hold no state and
+   touch no Python object, so callers may run them concurrently without the
    interpreter lock.
  */
 #include <math.h>
@@ -80,6 +83,17 @@ feq(const int order, double wl, double ex, double ey, double q,
         poly = poly + c4 / 24.0;
     }
     return wl * rho * poly;
+}
+
+/* Per population: ex = cx / cs, ey = cy / cs and q = ex^2 + ey^2. */
+static void unit_hops(const tlb_model *m, double cs, double *ex, double *ey,
+                      double *q)
+{
+    for (int l = 0; l < m->Q; l++) {
+        ex[l] = (double)m->c[2 * l] / cs;
+        ey[l] = (double)m->c[2 * l + 1] / cs;
+        q[l] = ex[l] * ex[l] + ey[l] * ey[l];
+    }
 }
 
 /* rho = sum_l f_l, accumulated in l order from zero. */
@@ -282,11 +296,7 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
     W.q = W.ey + Q;
     W.Tw = W.q + Q;
     W.cs = sqrt(m->cs2);
-    for (int l = 0; l < Q; l++) {
-        W.ex[l] = (double)m->c[2 * l] / W.cs;
-        W.ey[l] = (double)m->c[2 * l + 1] / W.cs;
-        W.q[l] = W.ex[l] * W.ex[l] + W.ey[l] * W.ey[l];
-    }
+    unit_hops(m, W.cs, W.ex, W.ey, W.q);
 
     int status = TLB_OK;
     int64_t neg = 0;
@@ -320,4 +330,102 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
     *negatives = neg;
     free(mem);
     return status;
+}
+
+/* Sites first .. first+nb of tlb_equilibrium, as one block. */
+static inline __attribute__((always_inline)) void
+equilibrium_block(const int order, const tlb_model *m, const double *ex,
+                  const double *ey, const double *q, double cs,
+                  const double *rho, const double *ux, const double *uy,
+                  const double *T, int64_t n, int64_t first, int64_t nb,
+                  double *out)
+{
+    double vx[BLOCK], vy[BLOCK], theta[BLOCK], s[BLOCK];
+    for (int64_t j = 0; j < nb; j++) {
+        vx[j] = ux[first + j] / cs;
+        vy[j] = uy[first + j] / cs;
+        theta[j] = T[first + j] / m->cs2 - 1.0;
+        s[j] = vx[j] * vx[j] + vy[j] * vy[j];
+    }
+    const double *restrict r = rho + first;
+    for (int l = 0; l < m->Q; l++) {
+        double *restrict ol = out + (int64_t)l * n + first;
+        const double wl = m->w[l], exl = ex[l], eyl = ey[l], ql = q[l];
+        for (int64_t j = 0; j < nb; j++)
+            ol[j] = feq(order, wl, exl, eyl, ql, r[j], vx[j], vy[j], theta[j],
+                        s[j]);
+    }
+}
+
+/* kernels.equilibrium of n sites: out[l * n + j] = f^eq_l(rho[j], ux[j],
+   uy[j], T[j]) at m->order, which the caller guarantees is 2, 3 or 4.  Only
+   Q, order, c, w and cs2 of m are read. */
+void tlb_equilibrium(const double *rho, const double *ux, const double *uy,
+                     const double *T, int64_t n, const tlb_model *m,
+                     double *out)
+{
+    double ex[m->Q], ey[m->Q], q[m->Q];
+    const double cs = sqrt(m->cs2);
+    unit_hops(m, cs, ex, ey, q);
+    for (int64_t first = 0; first < n; first += BLOCK) {
+        const int64_t nb = n - first < BLOCK ? n - first : BLOCK;
+        switch (m->order) {
+        case 2:
+            equilibrium_block(2, m, ex, ey, q, cs, rho, ux, uy, T, n, first,
+                              nb, out);
+            break;
+        case 3:
+            equilibrium_block(3, m, ex, ey, q, cs, rho, ux, uy, T, n, first,
+                              nb, out);
+            break;
+        default:
+            equilibrium_block(4, m, ex, ey, q, cs, rho, ux, uy, T, n, first,
+                              nb, out);
+        }
+    }
+}
+
+/* kernels.moments of n sites, f[l * n + j]: rho, u and T accumulated in l
+   order as in relax_block.  Only Q and c of m are read.  Returns
+   TLB_BAD_DENSITY when some rho is not > 0; the outputs are then partly
+   meaningless. */
+int tlb_moments(const double *f, int64_t n, const tlb_model *m, double *rho,
+                double *ux, double *uy, double *T)
+{
+    int bad = 0;
+    for (int64_t first = 0; first < n; first += BLOCK) {
+        const int64_t nb = n - first < BLOCK ? n - first : BLOCK;
+        double mx[BLOCK], my[BLOCK], e2[BLOCK];
+        double *restrict r = rho + first;
+        for (int64_t j = 0; j < nb; j++) {
+            r[j] = 0.0;
+            mx[j] = 0.0;
+            my[j] = 0.0;
+            e2[j] = 0.0;
+        }
+        for (int l = 0; l < m->Q; l++) {
+            const double *restrict fl = f + (int64_t)l * n + first;
+            const double cx = (double)m->c[2 * l], cy = (double)m->c[2 * l + 1];
+            const double c2 = cx * cx + cy * cy;
+            for (int64_t j = 0; j < nb; j++)
+                r[j] = r[j] + fl[j];
+            if (cx != 0.0)
+                for (int64_t j = 0; j < nb; j++)
+                    mx[j] = mx[j] + cx * fl[j];
+            if (cy != 0.0)
+                for (int64_t j = 0; j < nb; j++)
+                    my[j] = my[j] + cy * fl[j];
+            if (c2 != 0.0)
+                for (int64_t j = 0; j < nb; j++)
+                    e2[j] = e2[j] + c2 * fl[j];
+        }
+        for (int64_t j = 0; j < nb; j++) {
+            bad |= !(r[j] > 0.0);
+            const double u = mx[j] / r[j], v = my[j] / r[j];
+            ux[first + j] = u;
+            uy[first + j] = v;
+            T[first + j] = (e2[j] - r[j] * (u * u + v * v)) / (2.0 * r[j]);
+        }
+    }
+    return bad ? TLB_BAD_DENSITY : TLB_OK;
 }

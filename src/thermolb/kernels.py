@@ -5,10 +5,12 @@ fixed l order, so results are bit-identical for any region shape.  That is
 the property that lets staged and fused schedules, and any tiling of the
 lattice, produce the same state to the last bit.
 
-propagate_collide_fused, the entry point the runtime steps with, also has a
+propagate_collide_fused, the entry point the runtime steps with, has a
 compiled form (fused.c, loaded by native.py) that mirrors these expressions
-term for term and gives the same bits; the numpy code here is its fallback
-and its reference.
+term for term and gives the same bits; so do equilibrium and moments, which
+call their compiled forms on float64 arrays of at least one dimension and
+one shape.  In each case the numpy code here is the fallback and the
+reference.
 """
 
 from dataclasses import dataclass
@@ -57,8 +59,14 @@ def moments(f, vs: VelocitySet, check=True):
     """Density, velocity and temperature of a (Q, ...) population block.
 
     rho = sum_l f_l ; rho u = sum_l c_l f_l ; D rho T = sum_l |c_l - u|^2 f_l.
+    A float64 block of at least one site dimension takes the compiled form,
+    unless some density is not > 0: the numpy code below then reruns it and
+    raises, or warns, as it always has.
     """
     f = np.asarray(f)
+    compiled = native.moments(f, vs)
+    if compiled is not None:
+        return compiled
     cx = vs.c[:, 0].astype(np.float64)
     cy = vs.c[:, 1].astype(np.float64)
     rho = np.zeros(f.shape[1:])
@@ -87,7 +95,8 @@ def equilibrium(rho, ux, uy, T, vs: VelocitySet, order=None, check=True):
     """Hermite expansion of the shifted Maxwellian, truncated at `order`.
 
     Order 4 is supported by the D2Q37 quadrature, order 2 by D2Q9.  At
-    u = 0, T = cs2 the result is exactly rho * w_l.
+    u = 0, T = cs2 the result is exactly rho * w_l.  Float64 arrays of one
+    shape with at least one dimension take the compiled form.
     """
     if order is None:
         order = vs.eq_order
@@ -96,6 +105,9 @@ def equilibrium(rho, ux, uy, T, vs: VelocitySet, order=None, check=True):
     rho = np.asarray(rho, dtype=np.float64)
     if check and (not np.all(rho > 0.0) or not np.all(np.asarray(T) > 0.0)):
         raise DomainError("equilibrium requires rho > 0 and T > 0")
+    compiled = native.equilibrium(rho, ux, uy, T, vs, order)
+    if compiled is not None:
+        return compiled
     cs = np.sqrt(vs.cs2)
     vx = np.asarray(ux) / cs
     vy = np.asarray(uy) / cs

@@ -1,4 +1,8 @@
-"""The compiled fused kernel (fused.c): built on first use, loaded with ctypes.
+"""The compiled kernels (fused.c): built on first use, loaded with ctypes.
+
+Three entry points: tlb_fused, the step (through Plan); tlb_equilibrium and
+tlb_moments, the whole-array forms of kernels.equilibrium and
+kernels.moments (through equilibrium and moments below).
 
 The shared library is compiled once per machine with the system C compiler
 into ``$XDG_CACHE_HOME/thermolb`` (default ``~/.cache/thermolb``).  Its file
@@ -7,10 +11,12 @@ version and the CPU flags, so a changed source, compiler or machine gets its
 own build.  There is no install-time build step and no dependency beyond the
 standard library.
 
-The library is resolved once per process, on the first kernel call.  When
-anything on the way fails (no compiler, a failed compile, an unwritable cache
-directory, a failed dlopen) the handle resolves to None and the kernels run
-their numpy reference path, which gives the same bits.
+The library is resolved once per process, on the first kernel call; that
+includes the equilibrium that builds a run's initial state, so a zero-step
+run loads it too.  When anything on the way fails (no compiler, a failed
+compile, an unwritable cache directory, a failed dlopen) the handle resolves
+to None and the kernels run their numpy reference path, which gives the same
+bits.
 """
 
 import ctypes
@@ -96,6 +102,12 @@ def _build_and_load():
                               ptr, ptr, ctypes.POINTER(_Model),
                               ctypes.POINTER(ctypes.c_int64)]
     lib.tlb_fused.restype = ctypes.c_int
+    model = ctypes.POINTER(_Model)
+    lib.tlb_equilibrium.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64, model,
+                                    ptr]
+    lib.tlb_equilibrium.restype = None
+    lib.tlb_moments.argtypes = [ptr, ctypes.c_int64, model, ptr, ptr, ptr, ptr]
+    lib.tlb_moments.restype = ctypes.c_int
     return lib
 
 
@@ -117,6 +129,68 @@ def kernel_path():
 
 def _element_strides(a):
     return [s // a.itemsize for s in a.strides]
+
+
+def _model(vs, order, params=None):
+    """A pointer to the tlb_model of vs at Hermite order.
+
+    params gives the force shift and the relaxation rate; without it they
+    are zero, which tlb_equilibrium and tlb_moments never read.  The pointer
+    keeps the arrays it points into alive.
+    """
+    c = np.ascontiguousarray(vs.c, dtype=np.int64)
+    w = np.ascontiguousarray(vs.w, dtype=np.float64)
+    terms = (0.0, 0.0, 0.0, 0.0)
+    if params is not None:
+        g2 = params.gx * params.gx + params.gy * params.gy
+        terms = (params.tau * params.gx, params.tau * params.gy,
+                 params.tau * params.tau * g2 / params.D,
+                 params.dt / params.tau)
+    model = ctypes.pointer(_Model(vs.Q, int(order), c.ctypes.data,
+                                  w.ctypes.data, vs.cs2, *terms))
+    model.arrays = (c, w)
+    return model
+
+
+def _float64_sites(arrays):
+    """True when arrays are float64 ndarrays of one shape with at least one
+    dimension, which is what the whole-array entry points take."""
+    shape = np.shape(arrays[0])
+    return len(shape) >= 1 and all(
+        isinstance(a, np.ndarray) and a.dtype == np.float64
+        and a.shape == shape for a in arrays)
+
+
+def equilibrium(rho, ux, uy, T, vs, order):
+    """tlb_equilibrium: a new (Q,) + rho.shape array, or None when the library
+    is unavailable or the inputs are not float64 arrays of one shape with at
+    least one dimension.  order must be 2, 3 or 4."""
+    lib = load()
+    if lib is None or not _float64_sites((rho, ux, uy, T)):
+        return None
+    rho, ux, uy, T = (np.ascontiguousarray(a) for a in (rho, ux, uy, T))
+    out = np.empty((vs.Q,) + rho.shape)
+    lib.tlb_equilibrium(rho.ctypes.data, ux.ctypes.data, uy.ctypes.data,
+                        T.ctypes.data, rho.size, _model(vs, order),
+                        out.ctypes.data)
+    return out
+
+
+def moments(f, vs):
+    """tlb_moments: (rho, ux, uy, T) of a (Q, ...) population block, or None
+    when the library is unavailable, f is not a float64 array of Q
+    populations with at least one site dimension, or some density is not
+    > 0."""
+    lib = load()
+    if (lib is None or not _float64_sites((f,)) or f.ndim < 2
+            or f.shape[0] != vs.Q):
+        return None
+    f = np.ascontiguousarray(f)
+    out = [np.empty(f.shape[1:]) for _ in range(4)]
+    status = lib.tlb_moments(f.ctypes.data, out[0].size,
+                             _model(vs, vs.eq_order),
+                             *[a.ctypes.data for a in out])
+    return tuple(out) if status == 0 else None
 
 
 class Plan:
@@ -144,13 +218,7 @@ class Plan:
                        or p.shape != (vs.Q, geom.NX, geom.NY)
                        or any(s % 8 for s in p.strides) for p in pops)):
             return
-        self._c = np.ascontiguousarray(vs.c, dtype=np.int64)
-        self._w = np.ascontiguousarray(vs.w, dtype=np.float64)
-        g2 = params.gx * params.gx + params.gy * params.gy
-        self._model = ctypes.pointer(_Model(
-            vs.Q, int(order), self._c.ctypes.data, self._w.ctypes.data,
-            vs.cs2, params.tau * params.gx, params.tau * params.gy,
-            params.tau * params.tau * g2 / params.D, params.dt / params.tau))
+        self._model = _model(vs, order, params)
         self._nwall = len(walls)
         self._wrows = (ctypes.c_int64 * (2 * len(walls) or 1))(
             *[r for lo, hi, _ in walls for r in (lo, hi)])

@@ -115,6 +115,7 @@ def run(cfg: SimConfig) -> RunResult:
         w.prv.pops[:, w.geom.phys_x, w.geom.phys_y] = \
             f0[:, tile.x0:tile.x0 + tile.Lx, tile.y0:tile.y0 + tile.Ly]
         workers.append(w)
+    del f0  # the tiles hold the initial state now
 
     def worker_loop(w):
         try:
@@ -151,7 +152,7 @@ def run(cfg: SimConfig) -> RunResult:
             f"rank {rank} failed: {exc!r} "
             f"({len(fabric.failures)} rank failure(s) total)") from exc
 
-    final = np.empty_like(f0)
+    final = np.empty((vs.Q, cfg.Lx, cfg.Ly))
     for w in workers:
         t = w.tile
         final[:, t.x0:t.x0 + t.Lx, t.y0:t.y0 + t.Ly] = w.physical_block()

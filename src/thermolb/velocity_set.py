@@ -91,16 +91,20 @@ def _solve_d2q37_weights():
         w = np.linalg.solve(A[:8], rhs(sigma2)[:8])
         return A[8] @ w - rhs(sigma2)[8]
 
+    # Scan the grid lazily: the first sign change whose root gives positive
+    # weights ends it, so the points past it are never evaluated.
     grid = np.linspace(0.2, 1.6, 600)
-    vals = [residual(s) for s in grid]
     root = None
+    prev = residual(grid[0])
     for k in range(len(grid) - 1):
-        if np.sign(vals[k]) != np.sign(vals[k + 1]):
+        cur = residual(grid[k + 1])
+        if np.sign(prev) != np.sign(cur):
             cand = brentq(residual, grid[k], grid[k + 1], xtol=1e-16, rtol=8.9e-16)
             w_shell = np.linalg.solve(A[:8], rhs(cand)[:8])
             if np.all(w_shell > 0):
                 root = cand
                 break
+        prev = cur
     if root is None:
         raise ConfigurationError("no positive-weight solution for D2Q37 moments")
     # Re-solve against all 9 equations for a symmetric least-squares polish.

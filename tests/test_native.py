@@ -1,4 +1,4 @@
-"""The compiled fused kernel against the numpy reference path, bit for bit.
+"""The compiled kernels against the numpy reference path, bit for bit.
 
 The numpy path is forced by setting the loaded-library handle
 (native._lib) to None, which is what the kernels see when no compiler is
@@ -11,9 +11,9 @@ import pytest
 from thermolb import (LatticeGeometry, PhysicsParams, SimConfig,
                       allocate_field, build_velocity_set,
                       propagate_collide_fused, run)
-from thermolb import kernels, native, sim
+from thermolb import equilibrium, kernels, moments, native, sim
 from thermolb.errors import DegenerateStateError, DomainError, ThermoLBError
-from thermolb.init import build_initial_state
+from thermolb.init import PRESETS, build_initial_state
 from conftest import periodic_fill
 
 # 480 physical sites: the whole tile is longer than the kernel's 256-site
@@ -208,15 +208,145 @@ def test_in_kernel_negative_count_matches_numpy(compiled, monkeypatch, Np,
     assert sum(n for _, _, n in negatives_rows(fast)) == 1858
 
 
-def test_zero_step_run_never_resolves_the_library(monkeypatch):
-    def refuse():
-        raise AssertionError("the library was resolved")
-
-    monkeypatch.setattr(native, "_build_and_load", refuse)
+def test_zero_step_run_without_the_library_matches_compiled(compiled,
+                                                          monkeypatch):
+    # a zero-step run builds its initial state through the compiled
+    # equilibrium and reduces it through the compiled moments
+    cfgs = [SimConfig(Lx=24, Ly=20, Np=2, schedule=schedule, steps=0,
+                      init=init)
+            for schedule in ("staged", "overlapped")
+            for init in ("rayleigh-taylor", "random")]
+    want = [run(cfg) for cfg in cfgs]
+    monkeypatch.setattr(native, "_build_and_load", lambda: None)
     monkeypatch.setattr(native, "_lib", native._UNRESOLVED)
-    for schedule in ("staged", "overlapped"):
-        run(SimConfig(Lx=16, Ly=16, Np=2, schedule=schedule, steps=0))
-    assert native._lib is native._UNRESOLVED
+    for cfg, fast in zip(cfgs, want):
+        slow = run(cfg)
+        assert slow.populations.tobytes() == fast.populations.tobytes()
+        for name in ("rho", "ux", "uy", "T"):
+            assert (getattr(slow.macro, name).tobytes()
+                    == getattr(fast.macro, name).tobytes()), name
+    assert native._lib is None
+
+
+def numpy_call(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(native, "_lib", None)
+        return fn(*args, **kwargs)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def near_equilibrium_fields(vs, shape, seed=5):
+    rng = np.random.default_rng(seed)
+    return (1.0 + 0.05 * rng.standard_normal(shape),
+            0.05 * rng.standard_normal(shape),
+            0.05 * rng.standard_normal(shape),
+            vs.cs2 * (1.0 + 0.05 * rng.standard_normal(shape)))
+
+
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_initial_states_compiled_match_numpy_bitwise(compiled, monkeypatch,
+                                                     model):
+    vs = build_velocity_set(model)
+    for name in PRESETS:
+        fast = build_initial_state(name, LX, LY, vs)
+        slow = numpy_call(monkeypatch, build_initial_state, name, LX, LY, vs)
+        assert same_bits(fast, slow), name
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_equilibrium_compiled_matches_numpy_bitwise(compiled, monkeypatch,
+                                                    model, order):
+    vs = build_velocity_set(model)
+    cases = {name: numpy_call(monkeypatch, moments,
+                              build_initial_state(name, LX, LY, vs), vs)
+             for name in PRESETS}
+    cases["near-equilibrium"] = near_equilibrium_fields(vs, (LX, LY))
+    cases["one row of sites"] = near_equilibrium_fields(vs, (LX * LY,), 6)
+    for name, fields in cases.items():
+        assert native.equilibrium(*fields, vs, order) is not None, name
+        fast = equilibrium(*fields, vs, order=order)
+        slow = numpy_call(monkeypatch, equilibrium, *fields, vs, order=order)
+        assert same_bits(fast, slow), name
+
+
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_moments_compiled_matches_numpy_bitwise(compiled, monkeypatch, model):
+    vs = build_velocity_set(model)
+    g, prv = make_state(vs, "soa", "near-equilibrium")
+    view = prv.pops[:, g.phys_x, g.phys_y]
+    assert not view.flags.c_contiguous
+    blocks = {"strided pops view": view,
+              "contiguous block": np.ascontiguousarray(view),
+              "sites flattened": view.reshape(vs.Q, -1),
+              "rayleigh-taylor": build_initial_state("rayleigh-taylor", LX,
+                                                     LY, vs)}
+    for name, f in blocks.items():
+        assert native.moments(f, vs) is not None, name
+        for check in (True, False):
+            fast = moments(f, vs, check=check)
+            slow = numpy_call(monkeypatch, moments, f, vs, check=check)
+            assert all(same_bits(a, b) for a, b in zip(fast, slow)), name
+
+
+def test_fallback_inputs_keep_their_results(compiled, monkeypatch, d2q37):
+    # the compiled forms refuse these inputs, so the numpy code runs them
+    rho, ux, uy, T = near_equilibrium_fields(d2q37, (LX, LY))
+    rest = (np.float64(1.0), 0.0, 0.0, np.float64(d2q37.cs2))
+    equilibrium_cases = {
+        "0-d scalars": rest,
+        "broadcast shapes": (rho, ux[:, :1], 0.0, T[:1, :]),
+        "float32 temperature": (rho, ux, uy, T.astype(np.float32)),
+        "python lists": (rho[0].tolist(), ux[0].tolist(), uy[0].tolist(),
+                         T[0].tolist()),
+    }
+    for name, fields in equilibrium_cases.items():
+        assert native.equilibrium(*fields, d2q37, 4) is None, name
+        fast = equilibrium(*fields, d2q37)
+        slow = numpy_call(monkeypatch, equilibrium, *fields, d2q37)
+        assert same_bits(fast, slow), name
+    assert np.array_equal(equilibrium(*rest, d2q37), d2q37.w)
+
+    f = build_initial_state("random", LX, LY, d2q37)
+    moment_cases = {
+        "one site": f[:, 0, 0],
+        "float32 block": f.astype(np.float32),
+    }
+    for name, block in moment_cases.items():
+        assert native.moments(block, d2q37) is None, name
+        fast = moments(block, d2q37)
+        slow = numpy_call(monkeypatch, moments, block, d2q37)
+        assert all(same_bits(a, b) for a, b in zip(fast, slow)), name
+    assert native.moments(f[:9], d2q37) is None
+    with pytest.raises(IndexError):
+        moments(f[:9], d2q37)
+
+
+def test_degenerate_inputs_keep_their_errors(compiled, monkeypatch, d2q37):
+    rho, ux, uy, T = near_equilibrium_fields(d2q37, (LX, LY))
+    rho[3, 4] = 0.0
+    for lib in (native.load(), None):
+        monkeypatch.setattr(native, "_lib", lib)
+        with pytest.raises(DomainError, match="rho > 0 and T > 0"):
+            equilibrium(rho, ux, uy, T, d2q37)
+    f = build_initial_state("random", LX, LY, d2q37)
+    f[:, 2, 3] = 0.0
+    assert native.moments(f, d2q37) is None
+    errors, unchecked = [], []
+    for lib in (native.load(), None):
+        monkeypatch.setattr(native, "_lib", lib)
+        with pytest.raises(DegenerateStateError) as err:
+            moments(f, d2q37)
+        errors.append((str(err.value), err.value.sites.tolist()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unchecked.append(moments(f, d2q37, check=False))
+    assert errors[0] == errors[1] == ("non-positive density at [[2, 3]]",
+                                      [[2, 3]])
+    assert all(same_bits(a, b) for a, b in zip(*unchecked))
 
 
 @pytest.mark.parametrize("schedule", ["staged", "overlapped"])

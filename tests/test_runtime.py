@@ -9,7 +9,8 @@ from thermolb import (PhysicsParams, RankWorker, SimConfig,
 from thermolb.errors import (ConfigurationError, DeadlockError,
                              DegenerateStateError, PeerAbortedError,
                              ProtocolError)
-from thermolb.runtime import Fabric, boundary_bytes_per_site
+from thermolb import native
+from thermolb.runtime import DEFAULT_HALO, Fabric, boundary_bytes_per_site
 
 
 # -------------------------------------------------------------- decompose --
@@ -482,6 +483,30 @@ def test_snapshot_memory_grows_by_the_block_and_macro_fields():
     per_snapshot = (peak(1) - peak(4)) / (16 - 4)
     Q = build_velocity_set("D2Q9").Q
     assert per_snapshot / (64 * 64) <= 1.1 * (Q + 4) * 8
+
+
+def test_run_peak_memory_holds_no_initial_state():
+    # On the compiled step one run() holds the rank's two padded buffers,
+    # the final state and one rank block copied into it, Q doubles per site
+    # each; the initial state is released once the tiles hold it.  The numpy
+    # step's own temporaries set a higher peak, so it is not bounded here.
+    if native.load() is None:
+        pytest.skip("no C compiler here: the compiled kernel is unavailable")
+    cfg = SimConfig(Lx=64, Ly=128, model="D2Q37", Np=1, schedule="staged",
+                    steps=2, init="rayleigh-taylor",
+                    params=PhysicsParams(tau=0.8, gy=-1e-5))
+    run(cfg)                               # load the kernel first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    Q, pad = 37, 2 * DEFAULT_HALO
+    population = Q * 8 * cfg.Lx * cfg.Ly
+    buffers = 2 * Q * 8 * (cfg.Lx + pad) * (cfg.Ly + pad)
+    assert peak <= buffers + 2.25 * population
 
 
 def test_snapshot_density_error_names_global_sites(monkeypatch):

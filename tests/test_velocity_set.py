@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from thermolb import build_velocity_set
 from thermolb.errors import ConfigurationError
-from thermolb.velocity_set import gaussian_moment
+from thermolb.velocity_set import _solve_d2q37_weights, gaussian_moment
 
 
 def brute_moment(vs, a, b):
@@ -75,3 +77,11 @@ def test_velocity_lookup(d2q37):
     assert tuple(d2q37.c[l]) == (3, 1)
     with pytest.raises(ConfigurationError):
         d2q37.find(4, 0)
+
+
+def test_d2q37_weight_solve_bits_are_pinned():
+    # the lazy grid scan finds the same bracket, so the same weights and cs2
+    w, cs2 = _solve_d2q37_weights()
+    assert cs2.hex() == "0x1.655a23486b0efp-1"
+    assert hashlib.sha256(w.tobytes()).hexdigest() == (
+        "5c7259d37f6d1417e3a374efc57ec72815eca697518e26c142f5aaa39b5a101e")
