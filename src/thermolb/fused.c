@@ -1,5 +1,6 @@
 /* Fused pull-gather, wall rewrite and BGK collision over a list of regions,
-   plus the equilibrium and the moments of whole arrays on their own.
+   plus the equilibrium and the moments of whole arrays on their own, and the
+   rows of the snapshot CSV (tlb_csv_rows, at the end of the file).
 
    tlb_fused is the compiled form of thermolb.kernels.propagate_collide_fused;
    tlb_equilibrium and tlb_moments are those of kernels.equilibrium and
@@ -22,6 +23,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define BLOCK 256
 
@@ -428,4 +430,321 @@ int tlb_moments(const double *f, int64_t n, const tlb_model *m, double *rho,
         }
     }
     return bad ? TLB_BAD_DENSITY : TLB_OK;
+}
+
+/* ---- CSV rows: each float as the bytes of Python's repr ----
+
+   The digits are the shortest that read back to the value and, of those,
+   the closest to it, with the interval's bounds accepted when the mantissa
+   is even: the digits of Gay's dtoa in mode 0, which repr uses.  They come
+   from Ryu (Adams, PLDI 2018): the value's interval is scaled by a 128-bit
+   power of 5 with fixed-width multiplies, then digits are dropped while the
+   interval still holds a shorter number.
+
+   pow5 holds the multipliers as (low, high) 64-bit words, computed exactly
+   by the caller (native.py):
+     pow5[2 i ..], i < POW5_INV_COUNT:  floor(2^(b(5^i) - 1 + 125) / 5^i) + 1
+     pow5[2 (POW5_INV_COUNT + i) ..], i < POW5_COUNT:  5^i scaled to 125 bits
+   with b(n) the bit length of n; 5^i with more than 125 bits is truncated. */
+
+#define POW5_INV_COUNT 342
+#define POW5_COUNT 326
+#define POW5_BITS 125
+
+typedef unsigned __int128 tlb_u128;
+
+/* floor(log10(2^e)) for 0 <= e <= 1650, floor(log10(5^e)) for
+   0 <= e <= 2620 and the bit length of 5^e for 0 <= e <= 3528. */
+static inline uint32_t log10_pow2(int32_t e)
+{
+    return ((uint32_t)e * 78913) >> 18;
+}
+
+static inline uint32_t log10_pow5(int32_t e)
+{
+    return ((uint32_t)e * 732923) >> 20;
+}
+
+static inline int32_t pow5_bits(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+static inline int multiple_of_pow5(uint64_t v, uint32_t p)
+{
+    uint32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+static inline int multiple_of_pow2(uint64_t v, uint32_t p)
+{
+    return (v & ((1ull << p) - 1)) == 0;
+}
+
+/* (m * mul) >> j for the 128-bit mul and 64 <= j. */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    const tlb_u128 lo = (tlb_u128)m * mul[0];
+    const tlb_u128 hi = (tlb_u128)m * mul[1];
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+/* The shortest decimal digits of a finite nonzero double with these IEEE
+   fields: the value is *digits * 10^(*exp10). */
+static void shortest(uint64_t mantissa, uint32_t biased, const uint64_t *pow5,
+                     uint64_t *digits, int32_t *exp10)
+{
+    int32_t e2;
+    uint64_t m2;
+    if (biased == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = mantissa;
+    } else {
+        e2 = (int32_t)biased - 1023 - 52 - 2;
+        m2 = (1ull << 52) | mantissa;
+    }
+    /* Gay's mode 0 reads back a value on the interval's bound as this
+       double when its mantissa is even (round half to even). */
+    const int accept_bounds = (m2 & 1) == 0;
+    /* The interval is [mv - 1 - mm_shift, mv + 2] / 4 * 2^e2: half an ulp
+       each way, except below a power of two, where the next lower double is
+       only half as far. */
+    const uint64_t mv = 4 * m2;
+    const uint32_t mm_shift = mantissa != 0 || biased <= 1;
+
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_zeros = 0, vr_zeros = 0;   /* all removed digits are zero */
+    if (e2 >= 0) {
+        const uint32_t q = log10_pow2(e2) - (e2 > 3);
+        const int32_t j = -e2 + (int32_t)q + POW5_BITS + pow5_bits(q) - 1;
+        const uint64_t *mul = pow5 + 2 * q;
+        e10 = (int32_t)q;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 21) {
+            /* At most one of mv, mv + 2 and mv - 1 - mm_shift is a
+               multiple of 5. */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        const uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        const int32_t i = -e2 - (int32_t)q;
+        const int32_t j = (int32_t)q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * (POW5_INV_COUNT + i);
+        e10 = (int32_t)q + e2;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            /* mv has two trailing zero bits, mv + 2 one, and
+               mv - 1 - mm_shift one exactly when mm_shift is 1. */
+            vr_zeros = 1;
+            if (accept_bounds)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = multiple_of_pow2(mv, q);
+        }
+    }
+
+    int32_t removed = 0;
+    uint32_t last = 0;                /* the last digit removed from vr */
+    if (vm_zeros || vr_zeros) {
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros) {
+            while (vm % 10 == 0) {
+                vr_zeros &= last == 0;
+                last = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        /* An exact tie, ...50...0, rounds to even. */
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;
+        *digits = vr + ((vr == vm && (!accept_bounds || !vm_zeros))
+                        || last >= 5);
+    } else {
+        int round_up = 0;
+        if (vp / 100 > vm / 100) {    /* most values drop two digits */
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed += 2;
+        }
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        *digits = vr + (vr == vm || round_up);
+    }
+    *exp10 = e10 + removed;
+}
+
+/* The decimal digits of v, most significant first; returns their count. */
+static int put_digits(char *p, uint64_t v)
+{
+    static const char pairs[] =
+        "00010203040506070809101112131415161718192021222324252627282930313233"
+        "34353637383940414243444546474849505152535455565758596061626364656667"
+        "6869707172737475767778798081828384858687888990919293949596979899";
+    int n = 1;
+    for (uint64_t ten = 10; n < 20 && v >= ten; ten *= 10)
+        n++;
+    char *d = p + n;
+    while (v >= 100) {
+        const uint64_t rest = v / 100;
+        const char *pair = pairs + 2 * (v - 100 * rest);
+        d -= 2;
+        d[0] = pair[0];
+        d[1] = pair[1];
+        v = rest;
+    }
+    if (v >= 10) {
+        d[-2] = pairs[2 * v];
+        d[-1] = pairs[2 * v + 1];
+    } else {
+        d[-1] = (char)('0' + v);
+    }
+    return n;
+}
+
+static char *put_int(char *p, int64_t v)
+{
+    if (v < 0) {
+        *p++ = '-';
+        return p + put_digits(p, -(uint64_t)v);
+    }
+    return p + put_digits(p, (uint64_t)v);
+}
+
+/* repr(v) at p, at most 24 bytes; returns the end.  Positional notation
+   when the decimal exponent of the leading digit is in [-4, 16), with ".0"
+   on integral values; otherwise d[.ddd]e+XX with at least two exponent
+   digits.  Every NaN is "nan". */
+static char *put_repr(char *p, double v, const uint64_t *pow5)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    const uint64_t mantissa = bits & ((1ull << 52) - 1);
+    const uint32_t biased = (uint32_t)(bits >> 52) & 0x7ff;
+    if (biased == 0x7ff && mantissa) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (biased == 0 && mantissa == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    uint64_t digits;
+    int32_t exp10;
+    shortest(mantissa, biased, pow5, &digits, &exp10);
+    /* The digits are written one byte to the right, then the leading ones
+       are moved left to make room for the point. */
+    const int n = put_digits(p + 1, digits);
+    const int32_t point = n + exp10;  /* digits before the decimal point */
+    if (point > -4 && point <= 16) {
+        if (point <= 0) {
+            const int32_t lead = 2 - point;       /* "0." and the zeros */
+            for (int k = n; k >= 1; k--)
+                p[k - 1 + lead] = p[k];
+            p[0] = '0';
+            p[1] = '.';
+            for (int32_t k = 2; k < lead; k++)
+                p[k] = '0';
+            return p + lead + n;
+        }
+        if (point < n) {
+            for (int32_t k = 0; k < point; k++)
+                p[k] = p[k + 1];
+            p[point] = '.';
+            return p + n + 1;
+        }
+        for (int32_t k = 0; k < n; k++)
+            p[k] = p[k + 1];
+        p += n;
+        for (int32_t k = n; k < point; k++)
+            *p++ = '0';
+        p[0] = '.';
+        p[1] = '0';
+        return p + 2;
+    }
+    p[0] = p[1];
+    if (n > 1) {
+        p[1] = '.';
+        p += n + 1;
+    } else {
+        p += 1;
+    }
+    int32_t e = point - 1;
+    *p++ = 'e';
+    *p++ = e < 0 ? '-' : '+';
+    if (e < 0)
+        e = -e;
+    if (e < 10)
+        *p++ = '0';
+    return p + put_digits(p, (uint64_t)e);
+}
+
+/* The rows "x,y,rho,ux,uy,T\r\n" of the sites x0 <= x < x1, 0 <= y < Ly of
+   (Lx, Ly) C-contiguous fields, written as csv.writer writes them with each
+   value as its repr.  out must hold (x1 - x0) * Ly * 143 bytes: two integers
+   of at most 20 bytes, four floats of at most 24, five commas and "\r\n".
+   Returns the number of bytes written. */
+int64_t tlb_csv_rows(const double *rho, const double *ux, const double *uy,
+                     const double *T, int64_t Ly, int64_t x0, int64_t x1,
+                     const uint64_t *pow5, char *out)
+{
+    char *p = out;
+    for (int64_t x = x0; x < x1; x++) {
+        for (int64_t y = 0; y < Ly; y++) {
+            const int64_t j = x * Ly + y;
+            p = put_int(p, x);
+            *p++ = ',';
+            p = put_int(p, y);
+            *p++ = ',';
+            p = put_repr(p, rho[j], pow5);
+            *p++ = ',';
+            p = put_repr(p, ux[j], pow5);
+            *p++ = ',';
+            p = put_repr(p, uy[j], pow5);
+            *p++ = ',';
+            p = put_repr(p, T[j], pow5);
+            *p++ = '\r';
+            *p++ = '\n';
+        }
+    }
+    return p - out;
 }

@@ -1,11 +1,13 @@
 """Snapshot and table output, plus structured-text config loading."""
 
 import csv
+import functools
 import os
 
 import numpy as np
 import yaml
 
+from . import native
 from .errors import ConfigurationError
 from .geometry import MacroFields
 
@@ -26,27 +28,37 @@ def write_pgm(path, values):
 
 # The header as csv.writer writes it: no field needs quoting, and each row
 # ends in "\r\n".
-_MACRO_HEADER = ("x [site],y [site],rho [lattice],ux [lattice],uy [lattice],"
-                 "T [lattice]\r\n")
+_MACRO_HEADER = (b"x [site],y [site],rho [lattice],ux [lattice],uy [lattice],"
+                 b"T [lattice]\r\n")
+
+
+def _python_rows(fields, x):
+    """The rows of x as write_macro_csv writes them, formatted in one Python
+    pass of f-strings: the reference for native.csv_rows and its fallback."""
+    return "".join([
+        f"{x},{y},{rho!r},{ux!r},{uy!r},{T!r}\r\n"
+        for y, rho, ux, uy, T in zip(
+            range(fields[0].shape[1]), *(a[x].tolist() for a in fields))
+    ]).encode()
 
 
 def write_macro_csv(path, macro: MacroFields):
     """Row-major CSV of the macroscopic fields with a labelled header.
 
     The bytes are those of csv.writer with each value written as the repr of
-    its float; the rows of one x are formatted in one pass and written with
-    one call.
+    its float.  The rows of one x are formatted in one compiled call
+    (native.csv_rows, into one reused buffer of Ly rows) and written with
+    one call, so memory stays bounded by one x of rows.  Without the
+    compiled library they are formatted by _python_rows, with the same
+    bytes.
     """
-    fields = [np.asarray(a, dtype=np.float64)
+    fields = [np.ascontiguousarray(a, dtype=np.float64)
               for a in (macro.rho, macro.ux, macro.uy, macro.T)]
-    Lx, Ly = fields[0].shape
-    with open(path, "w", newline="") as fh:
+    rows = native.csv_rows(fields) or functools.partial(_python_rows, fields)
+    with open(path, "wb") as fh:
         fh.write(_MACRO_HEADER)
-        for x in range(Lx):
-            fh.write("".join([
-                f"{x},{y},{rho!r},{ux!r},{uy!r},{T!r}\r\n"
-                for y, rho, ux, uy, T in zip(
-                    range(Ly), *(a[x].tolist() for a in fields))]))
+        for x in range(fields[0].shape[0]):
+            fh.write(rows(x))
 
 
 def write_table(path, header, rows):

@@ -1,8 +1,10 @@
 """The compiled kernels (fused.c): built on first use, loaded with ctypes.
 
-Three entry points: tlb_fused, the step (through Plan); tlb_equilibrium and
+Four entry points: tlb_fused, the step (through Plan); tlb_equilibrium and
 tlb_moments, the whole-array forms of kernels.equilibrium and
-kernels.moments (through equilibrium and moments below).
+kernels.moments (through equilibrium and moments below); tlb_csv_rows, the
+snapshot CSV's rows with each float as the bytes of its repr (through
+csv_rows below, for io.write_macro_csv).
 
 The shared library is compiled once per machine with the system C compiler
 into ``$XDG_CACHE_HOME/thermolb`` (default ``~/.cache/thermolb``).  Its file
@@ -108,6 +110,9 @@ def _build_and_load():
     lib.tlb_equilibrium.restype = None
     lib.tlb_moments.argtypes = [ptr, ctypes.c_int64, model, ptr, ptr, ptr, ptr]
     lib.tlb_moments.restype = ctypes.c_int
+    lib.tlb_csv_rows.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64,
+                                 ctypes.c_int64, ctypes.c_int64, ptr, ptr]
+    lib.tlb_csv_rows.restype = ctypes.c_int64
     return lib
 
 
@@ -266,3 +271,51 @@ class Plan:
                                self._wrows, self._wT, self._model,
                                ctypes.byref(negatives))
         return negatives.value if status == 0 else None
+
+
+def _pow5_words():
+    """tlb_csv_rows' 128-bit multipliers, from exact integer arithmetic, as
+    (low, high) 64-bit word pairs: for i < 342 the inverse
+    floor(2**(b - 1 + 125) / 5**i) + 1, with b the bit length of 5**i, then
+    for i < 326 5**i scaled to 125 bits, truncated when it has more."""
+    values = []
+    for i in range(342):
+        p = 5 ** i
+        values.append((1 << (p.bit_length() - 1 + 125)) // p + 1)
+    for i in range(326):
+        p = 5 ** i
+        shift = p.bit_length() - 125
+        values.append(p >> shift if shift >= 0 else p << -shift)
+    mask = (1 << 64) - 1
+    return np.array([w for v in values for w in (v & mask, v >> 64)],
+                    dtype=np.uint64)
+
+
+_POW5 = _pow5_words()
+
+# The longest row tlb_csv_rows writes: two integers of at most 20 bytes,
+# four floats of at most 24, five commas and "\r\n".
+CSV_MAX_ROW = 2 * 20 + 4 * 24 + 5 + 2
+
+
+def csv_rows(fields):
+    """tlb_csv_rows over fields, the four (Lx, Ly) float64 arrays rho, ux, uy
+    and T: a function of x that returns the CSV rows of that x as a
+    memoryview of one reused buffer of Ly * CSV_MAX_ROW bytes, valid until
+    the next call.  None when the library is unavailable or the fields are
+    not C-contiguous float64 arrays of one 2-d shape."""
+    lib = load()
+    shape = np.shape(fields[0])
+    if (lib is None or len(shape) != 2 or not _float64_sites(fields)
+            or not all(a.flags.c_contiguous for a in fields)):
+        return None
+    Ly = shape[1]
+    buf = np.empty(Ly * CSV_MAX_ROW, dtype=np.uint8)
+    view = memoryview(buf)
+    data = [a.ctypes.data for a in fields]
+    tables, out = _POW5.ctypes.data, buf.ctypes.data
+
+    def rows(x):
+        return view[:lib.tlb_csv_rows(*data, Ly, x, x + 1, tables, out)]
+    rows.fields = fields    # keeps the arrays behind data alive
+    return rows

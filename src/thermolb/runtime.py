@@ -394,5 +394,6 @@ class RankWorker:
         self.metrics.append(t)
 
     def physical_block(self):
+        """A view of the current populations over the physical sites."""
         g = self.geom
-        return np.ascontiguousarray(self.prv.pops[:, g.phys_x, g.phys_y])
+        return self.prv.pops[:, g.phys_x, g.phys_y]

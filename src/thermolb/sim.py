@@ -73,25 +73,22 @@ def _macro_of(f, vs):
     return MacroFields(rho, ux, uy, T)
 
 
-def _reduce_snapshots(workers, Lx, Ly, vs):
-    """[(step, MacroFields)] from the ranks' snapshot blocks.
+def _stitch_snapshots(workers, Lx, Ly):
+    """[(step, MacroFields)] from the ranks' reduced snapshot tiles.
 
-    Each block is reduced to rho, u and T on its own, into global fields;
-    moments works site by site, so the bits are those of a reduction over
-    the stitched populations.  Each block is released once reduced, and the
+    Each rank reduced its tile to rho, u and T at the snapshot step; moments
+    works site by site, so the bits are those of a reduction over the
+    stitched populations.  Each tile is released once stitched, and the
     density check runs on the stitched rho so that its sites are global.
     """
     out = []
     for i, (step, _) in enumerate(workers[0].snapshots):
         macro = MacroFields(*(np.empty((Lx, Ly)) for _ in range(4)))
         for w in workers:
-            _, block = w.snapshots[i]
+            _, parts = w.snapshots[i]
             w.snapshots[i] = None
             t = w.tile
             sites = (slice(t.x0, t.x0 + t.Lx), slice(t.y0, t.y0 + t.Ly))
-            # a bad site divides by zero here; check_density reports it
-            with np.errstate(divide="ignore", invalid="ignore"):
-                parts = moments(block, vs, check=False)
             for field, part in zip(
                     (macro.rho, macro.ux, macro.uy, macro.T), parts):
                 field[sites] = part
@@ -130,8 +127,12 @@ def run(cfg: SimConfig) -> RunResult:
                         f"at step {s}")
                 if (cfg.snapshot_every and (s + 1) % cfg.snapshot_every == 0
                         and s + 1 < cfg.steps):
-                    # the last step's snapshot is taken from the final state
-                    w.snapshots.append((s + 1, w.physical_block()))
+                    # the last step's snapshot is taken from the final
+                    # state; a bad site divides by zero here, and
+                    # _stitch_snapshots' density check reports it
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        parts = moments(w.physical_block(), vs, check=False)
+                    w.snapshots.append((s + 1, parts))
         except PeerAbortedError:  # another rank's failure, already recorded
             return
         except Exception as exc:  # propagate to the coordinator
@@ -162,7 +163,7 @@ def run(cfg: SimConfig) -> RunResult:
         for s, row in enumerate(w.metrics):
             metrics.append({"step": s, "rank": w.tile.rank, **row})
 
-    snapshots = _reduce_snapshots(workers, cfg.Lx, cfg.Ly, vs)
+    snapshots = _stitch_snapshots(workers, cfg.Lx, cfg.Ly)
     macro = _macro_of(final, vs)
     every = cfg.snapshot_every
     if every and cfg.steps and cfg.steps % every == 0:
