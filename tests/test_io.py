@@ -39,11 +39,6 @@ def test_write_macro_csv_matches_csv_writer_on_random_fields(tmp_path):
 
 # -------------------------------------------- compiled repr (tlb_csv_rows) --
 
-def require_compiled():
-    if native.load() is None:
-        pytest.skip("no C compiler here: the compiled writer is unavailable")
-
-
 def assert_rows_are_repr(values, Ly=1000):
     """values, padded with 1.0 to whole rows of 4 fields, through
     native.csv_rows, give the rows of csv.writer over their reprs."""
@@ -70,31 +65,27 @@ def neighbours(values):
                            np.nextafter(values, np.inf)])
 
 
-def test_csv_rows_repr_random_bit_patterns():
+def test_csv_rows_repr_random_bit_patterns(compiled):
     # every exponent, subnormals, both signs, infinities and NaN payloads
-    require_compiled()
     bits = np.random.default_rng(11).integers(0, 2**64, 10**6,
                                               dtype=np.uint64)
     assert_rows_are_repr(bits.view(np.float64))
 
 
-def test_csv_rows_repr_powers_of_two_and_neighbours():
+def test_csv_rows_repr_powers_of_two_and_neighbours(compiled):
     # below a power of two the next lower double is half as far away
-    require_compiled()
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     assert_rows_are_repr(np.concatenate([neighbours(powers),
                                          -neighbours(powers)]))
 
 
-def test_csv_rows_repr_powers_of_ten_and_neighbours():
-    require_compiled()
+def test_csv_rows_repr_powers_of_ten_and_neighbours(compiled):
     tens = np.array([float(f"1e{k}") for k in range(-324, 309)])
     assert_rows_are_repr(np.concatenate([neighbours(tens), -neighbours(tens)]))
 
 
-def test_csv_rows_repr_notation_thresholds():
+def test_csv_rows_repr_notation_thresholds(compiled):
     # repr switches to an exponent below 1e-4 and from 1e16 on
-    require_compiled()
     near = []
     for edge in (1e-4, 1e16, 9.999999999999999e-05, 9999999999999998.0):
         lo = hi = edge
@@ -106,8 +97,7 @@ def test_csv_rows_repr_notation_thresholds():
     assert_rows_are_repr(np.concatenate([near, np.negative(near)]))
 
 
-def test_csv_rows_repr_integers_zeros_and_extremes():
-    require_compiled()
+def test_csv_rows_repr_integers_zeros_and_extremes(compiled):
     rng = np.random.default_rng(12)
     big = 2**53
     ints = [*range(10**5), *range(big - 100, big + 1),
@@ -123,8 +113,7 @@ def test_csv_rows_repr_integers_zeros_and_extremes():
                                          special]))
 
 
-def test_csv_rows_repr_property():
-    require_compiled()
+def test_csv_rows_repr_property(compiled):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -135,10 +124,9 @@ def test_csv_rows_repr_property():
     check()
 
 
-def test_write_macro_csv_compiled_matches_python_writer(tmp_path,
+def test_write_macro_csv_compiled_matches_python_writer(compiled, tmp_path,
                                                         monkeypatch):
     # strided, transposed and float32 fields are made contiguous float64
-    require_compiled()
     rng = np.random.default_rng(13)
 
     def bits(shape):

@@ -21,12 +21,6 @@ from conftest import periodic_fill
 LX, LY = 24, 20
 
 
-@pytest.fixture
-def compiled():
-    if native.load() is None:
-        pytest.skip("no C compiler here: the compiled kernel is unavailable")
-
-
 def make_state(vs, layout, kind, seed=7):
     g = LatticeGeometry(LX, LY, 3, 3, vs.Q, layout)
     prv, _ = allocate_field(g, vs)
