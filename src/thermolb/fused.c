@@ -16,9 +16,10 @@
    Inside a block every loop runs over populations outside and sites inside,
    so the compiler can vectorize the site loop.  Populations are addressed
    through the element strides of the canonical (Q, NX, NY) view, which
-   covers both the SoA and the AoS layout.  The functions hold no state and
-   touch no Python object, so callers may run them concurrently without the
-   interpreter lock.
+   covers both the SoA and the AoS layout.  tlb_fused owns the wall boundary:
+   pulls from beyond a wall read the outermost physical row.  The functions
+   hold no state and touch no Python object, so callers may run them
+   concurrently without the interpreter lock.
  */
 #include <math.h>
 #include <stdint.h>
@@ -200,19 +201,26 @@ relax_block(const int order, const tlb_model *m, const tlb_work *W,
 }
 
 /* Pull gather of sites first .. first+n of an nx x ny rectangle at (x0, y0):
-   f[l][j] = src[l, x - c_lx, y - c_ly]. */
+   f[l][j] = src[l, x - c_lx, y - c_ly], with the pulled y clamped to
+   [ylo, yhi] (kernels._gather). */
 static void gather(const double *src, const int64_t *st, const int64_t *c,
-                   int Q, int64_t x0, int64_t y0, int64_t ny, int64_t first,
-                   int64_t n, double *restrict f)
+                   int Q, int64_t x0, int64_t y0, int64_t ny, int64_t ylo,
+                   int64_t yhi, int64_t first, int64_t n, double *restrict f)
 {
     for (int l = 0; l < Q; l++) {
         double *restrict fl = f + (int64_t)l * BLOCK;
         for (int64_t j = 0; j < n;) {
             const int64_t x = (first + j) / ny, y = (first + j) % ny;
             const int64_t len = ny - y < n - j ? ny - y : n - j;
-            const double *p = src + l * st[0] + (x0 + x - c[2 * l]) * st[1]
-                              + (y0 + y - c[2 * l + 1]) * st[2];
-            if (st[2] == 1)
+            const int64_t ya = y0 + y - c[2 * l + 1];
+            const double *col = src + l * st[0] + (x0 + x - c[2 * l]) * st[1];
+            const double *p = col + ya * st[2];
+            if (ya < ylo || ya + len - 1 > yhi)
+                for (int64_t k = 0; k < len; k++) {
+                    const int64_t yk = ya + k < ylo ? ylo : ya + k;
+                    fl[j + k] = col[(yk > yhi ? yhi : yk) * st[2]];
+                }
+            else if (st[2] == 1)
                 for (int64_t k = 0; k < len; k++)
                     fl[j + k] = p[k];
             else
@@ -270,13 +278,16 @@ static int relax(const tlb_model *m, const tlb_work *W, int64_t n, int nw)
    strides: element strides of src's then dst's (Q, NX, NY) view.
    walls: nwall padded-y ranges [wrows[2k], wrows[2k+1]) with temperature
    wT[k]; rows of a box inside one are set to the wall equilibrium before
-   the collision.  *negatives receives the number of negative values written
-   to dst.  The caller guarantees that every pulled site lies inside src and
-   that m->order is 2, 3 or 4.  Returns a TLB_* status; on a nonzero status
-   dst may be partly written. */
+   the collision.  Pulls from rows below ylo or above yhi read row ylo or
+   yhi, the outermost physical rows at walls (LatticeGeometry.clamp_rows).
+   *negatives receives the number of negative values written to dst.  The
+   caller guarantees that every clamped pull lies inside src and that
+   m->order is 2, 3 or 4.  Returns a TLB_* status; on a nonzero status dst
+   may be partly written. */
 int tlb_fused(const double *src, double *dst, const int64_t *strides,
               const int64_t *boxes, int nbox, int nwall, const int64_t *wrows,
-              const double *wT, const tlb_model *m, int64_t *negatives)
+              const double *wT, int64_t ylo, int64_t yhi, const tlb_model *m,
+              int64_t *negatives)
 {
     const int Q = m->Q;
     double *mem = malloc(sizeof(double) * ((size_t)(Q + 8) * BLOCK + 3 * Q
@@ -321,7 +332,8 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
             const int64_t ny = yb - ya, total = nx * ny;
             for (int64_t first = 0; first < total; first += BLOCK) {
                 const int64_t n = total - first < BLOCK ? total - first : BLOCK;
-                gather(src, strides, m->c, Q, x0, ya, ny, first, n, W.f);
+                gather(src, strides, m->c, Q, x0, ya, ny, ylo, yhi, first,
+                       n, W.f);
                 status = relax(m, &W, n, nw);
                 if (status != TLB_OK)
                     break;

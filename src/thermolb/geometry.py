@@ -58,6 +58,16 @@ class LatticeGeometry:
     def phys_y(self):
         return slice(self.Hy, self.Hy + self.Ly)
 
+    def clamp_rows(self, walls):
+        """(lo, hi): pulls from padded rows beyond these read them instead.
+        A "bottom" wall (start, stop, Twall, side) sets lo to the first
+        physical row, a "top" one hi to the last; else the padded edges."""
+        lo, hi = 0, self.NY - 1
+        for *_, side in walls:
+            lo = self.Hy if side == "bottom" else lo
+            hi = self.Hy + self.Ly - 1 if side == "top" else hi
+        return lo, hi
+
     def check_halo(self, vs: VelocitySet):
         if self.Hx < vs.max_hop or self.Hy < vs.max_hop:
             raise AllocationError(

@@ -180,12 +180,16 @@ def _check_region(geom: LatticeGeometry, region):
     return xs, ys
 
 
-def _gather(prv_pops, vs: VelocitySet, xs, ys):
-    """Pull gather: scratch[l] = prv[l, x - cx, y - cy] over the region."""
+def _gather(prv_pops, vs: VelocitySet, xs, ys, clamp):
+    """Pull gather: scratch[l] = prv[l, x - cx, y - cy] over the region,
+    with y - cy clamped to the rows clamp = (lo, hi)."""
     out = np.empty((vs.Q, xs.stop - xs.start, ys.stop - ys.start))
     for l in range(vs.Q):
         dx, dy = int(vs.c[l, 0]), int(vs.c[l, 1])
-        out[l] = prv_pops[l, xs.start - dx : xs.stop - dx, ys.start - dy : ys.stop - dy]
+        ya, yb = ys.start - dy, ys.stop - dy
+        rows = (slice(ya, yb) if clamp[0] <= ya and yb - 1 <= clamp[1]
+                else np.clip(np.arange(ya, yb), *clamp))
+        out[l] = prv_pops[l, xs.start - dx : xs.stop - dx][:, rows]
     return out
 
 
@@ -237,10 +241,12 @@ def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
     """Gather, wall rewrite and collide in one pass over one or more regions.
 
     region is one (xs, ys) pair of physical slices or a list of them; None
-    means the whole physical tile.  walls lists (lo, hi, Twall) padded-y
-    ranges.  A region's rows inside one are set to the wall equilibrium
-    (gathered density, zero velocity, Twall) before the collision, so the
-    result is bit-identical to staged propagate -> bc -> collide.
+    means the whole physical tile.  walls lists (lo, hi, Twall, side)
+    padded-y ranges, side "bottom" or "top".  A region's rows inside one
+    are set to the wall equilibrium (gathered density, zero velocity, Twall)
+    before the collision.  Pulls from beyond a wall read the outermost
+    physical row on its side (geom.clamp_rows), so the result is bit-identical to staged propagate -> bc -> collide on
+    a field whose rows beyond each wall repeat its edge row.
 
     The compiled kernel does all regions in one call when it is available,
     through plan (a native.Plan) when it serves these arguments, otherwise
@@ -265,9 +271,10 @@ def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
     if negatives is not None:
         return negatives
     negatives = 0
+    clamp = geom.clamp_rows(walls)
     for xs, ys in boxes:
-        scratch = _gather(prv.pops, vs, xs, ys)
-        for lo, hi, Twall in walls:
+        scratch = _gather(prv.pops, vs, xs, ys, clamp)
+        for lo, hi, Twall, _ in walls:
             rows = slice(max(lo, ys.start) - ys.start,
                          min(hi, ys.stop) - ys.start)
             if rows.start < rows.stop:

@@ -101,7 +101,8 @@ def _build_and_load():
         return None
     ptr = ctypes.c_void_p
     lib.tlb_fused.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int, ctypes.c_int,
-                              ptr, ptr, ctypes.POINTER(_Model),
+                              ptr, ptr, ctypes.c_int64, ctypes.c_int64,
+                              ctypes.POINTER(_Model),
                               ctypes.POINTER(ctypes.c_int64)]
     lib.tlb_fused.restype = ctypes.c_int
     model = ctypes.POINTER(_Model)
@@ -203,7 +204,8 @@ class Plan:
 
     A plan holds the model struct, the data pointers and element strides of
     both buffers (for either direction of the prv/nxt swap), the wall rows
-    and a cache of box arrays keyed by region bounds, plus a reference to
+    and their clamp rows, a cache of box arrays keyed by region bounds, and
+    a reference to
     every array those point into.  It serves only the buffers, params,
     velocity set and walls it was built from (see serves); a rank builds one
     on its first step and passes it to every kernel call.
@@ -226,9 +228,10 @@ class Plan:
         self._model = _model(vs, order, params)
         self._nwall = len(walls)
         self._wrows = (ctypes.c_int64 * (2 * len(walls) or 1))(
-            *[r for lo, hi, _ in walls for r in (lo, hi)])
+            *[r for lo, hi, *_ in walls for r in (lo, hi)])
         self._wT = (ctypes.c_double * (len(walls) or 1))(
-            *[T for _, _, T in walls])
+            *[T for _, _, T, _ in walls])
+        self._clamp = geom.clamp_rows(walls)
 
         def direction(src, dst):
             return (ctypes.c_void_p(src.ctypes.data),
@@ -268,8 +271,8 @@ class Plan:
                 *[v for bounds in key for v in bounds])
         negatives = ctypes.c_int64()
         status = lib.tlb_fused(src, dst, strides, box, len(key), self._nwall,
-                               self._wrows, self._wT, self._model,
-                               ctypes.byref(negatives))
+                               self._wrows, self._wT, *self._clamp,
+                               self._model, ctypes.byref(negatives))
         return negatives.value if status == 0 else None
 
 

@@ -11,8 +11,8 @@ boundary site across the 3-deep halo.  Each worker builds a face table once,
 whose flat storage indices make every pack one gather and every unpack one
 scatter, for either axis.  The Y (non-contiguous) faces cover physical
 columns only and are exchanged before the X (contiguous) faces, which span
-the full padded height, so corner halo cells pick up diagonal-neighbor data
-from the forwarded columns.  Tiles are stored structure-of-arrays.
+the full padded height; that order serves only to forward diagonal-neighbor
+data into the corner halo cells.  Tiles are stored structure-of-arrays.
 
 A step makes one kernel call per region group.  The staged schedule
 exchanges Y, then X, then runs the whole tile.  The overlapped schedule
@@ -310,25 +310,16 @@ class RankWorker:
         pops[:, :, :g.Hy] = np.nan
         pops[:, :, g.Hy + g.Ly:] = np.nan
 
-    def _extend_wall_halos(self, f):
-        # Wall ranks have no neighbor beyond the wall; extend the outermost
-        # physical row into those halo rows so the pull into the bc rows is
-        # deterministic and a uniform equilibrium stays a fixed point.  The
-        # fused kernel rewrites the wall rows right after the gather.
-        g = self.geom
-        if self.tile.uppermost:
-            f.pops[:, :, g.Hy + g.Ly:] = f.pops[:, :, g.Hy + g.Ly - 1:g.Hy + g.Ly]
-        if self.tile.lowermost:
-            f.pops[:, :, :g.Hy] = f.pops[:, :, g.Hy:g.Hy + 1]
-
     def _wall_rows(self):
-        """(lo, hi, Twall) padded-y ranges of the wall rows on this tile."""
+        """(lo, hi, Twall, side) padded-y ranges of the wall rows on this
+        tile; on a tile WALL_ROWS high one range spans both edges."""
         g, p = self.geom, self.params
         rows = []
         if self.walls and self.tile.lowermost:
-            rows.append((g.Hy, g.Hy + WALL_ROWS, p.Twall_bot))
+            rows.append((g.Hy, g.Hy + WALL_ROWS, p.Twall_bot, "bottom"))
         if self.walls and self.tile.uppermost:
-            rows.append((g.Hy + g.Ly - WALL_ROWS, g.Hy + g.Ly, p.Twall_top))
+            rows.append((g.Hy + g.Ly - WALL_ROWS, g.Hy + g.Ly, p.Twall_top,
+                         "top"))
         return tuple(rows)
 
     def _regions(self):
@@ -355,8 +346,6 @@ class RankWorker:
                                     self.wall_rows)
         if self.debug_poison:
             self._poison_halos(prv)
-        if self.walls:
-            self._extend_wall_halos(prv)
         t0 = time.perf_counter()
         self.exchange(prv, step_no, 1)
         t1 = time.perf_counter()

@@ -76,7 +76,8 @@ def suite_rank_invariance(Lx=32, Ly=32, steps=20, model="D2Q37"):
     variants = [("Np1 staged", "1d", 1, "staged"),
                 ("Np4 1d overlapped", "1d", 4, "overlapped"),
                 ("Np4 2x2 overlapped", (2, 2), 4, "overlapped"),
-                ("Np4 2x2 staged", (2, 2), 4, "staged")]
+                ("Np4 2x2 staged", (2, 2), 4, "staged"),
+                ("Np8 2x4 overlapped", (2, 4), 8, "overlapped")]
     states = {}
     for label, tiling, Np, schedule in variants:
         cfg = SimConfig(Lx=Lx, Ly=Ly, model=model, tiling=tiling, Np=Np,

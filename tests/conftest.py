@@ -35,6 +35,12 @@ def periodic_fill(field):
         pops[:, :, Hy + Ly:] = pops[:, :, Hy:2 * Hy]
 
 
+def beyond_walls(field):
+    """The halo rows below the first and above the last physical row."""
+    g = field.geom
+    return (field.pops[:, :, :g.Hy], field.pops[:, :, g.Hy + g.Ly:])
+
+
 def random_state(geom, vs, seed=0, lo=0.5):
     rng = np.random.default_rng(seed)
     return lo + rng.random((vs.Q, geom.NX, geom.NY))

@@ -14,7 +14,7 @@ from thermolb import (LatticeGeometry, PhysicsParams, SimConfig,
 from thermolb import equilibrium, kernels, moments, native, sim
 from thermolb.errors import DegenerateStateError, DomainError, ThermoLBError
 from thermolb.init import PRESETS, build_initial_state
-from conftest import periodic_fill
+from conftest import beyond_walls, periodic_fill
 
 # 480 physical sites: the whole tile is longer than the kernel's 256-site
 # block, and neither extent is a multiple of it.
@@ -37,8 +37,8 @@ def make_state(vs, layout, kind, seed=7):
 
 
 def wall_rows(g, vs):
-    return ((g.Hy, g.Hy + 3, 1.1 * vs.cs2),
-            (g.Hy + g.Ly - 3, g.Hy + g.Ly, 0.9 * vs.cs2))
+    return ((g.Hy, g.Hy + 3, 1.1 * vs.cs2, "bottom"),
+            (g.Hy + g.Ly - 3, g.Hy + g.Ly, 0.9 * vs.cs2, "top"))
 
 
 def regions(g):
@@ -69,6 +69,9 @@ def test_compiled_matches_numpy_bitwise(compiled, monkeypatch, model, order,
                                         layout, kind):
     vs = build_velocity_set(model)
     g, prv = make_state(vs, layout, kind)
+    # both paths clamp pulls from beyond the walls to the edge rows
+    for rows in beyond_walls(prv):
+        rows[...] = np.nan
     params = PhysicsParams(tau=0.8, gx=2e-5, gy=-1e-4, eq_order=order)
     walls = wall_rows(g, vs)
     for name, (xs, ys) in regions(g).items():

@@ -201,35 +201,6 @@ def test_corner_diagonal_via_protocol_order(d2q9):
     assert ws[0].prv.pops[l, g.Hx + g.Lx, g.Hy + g.Ly] == 7.0
 
 
-def test_wall_rank_outer_halo_untouched_by_exchange(d2q37):
-    # walls: the Y chain has no partner beyond the ends, so the outer halo
-    # rows of wall ranks keep what the wall handling wrote (edge extension)
-    import threading
-    tiles = decompose(8, 8, 2, (1, 2))
-    fab = Fabric(2, timeout=5.0)
-    ws = [make_worker(t, d2q37, fab) for t in tiles]
-    for w in ws:
-        fill_sequential(w)
-        w._extend_wall_halos(w.prv)
-    px = ws[0].geom.phys_x
-    lo = ws[0].prv.pops[:, px, ws[0].geom.Hy].copy()
-    hi = ws[1].prv.pops[:, px, ws[1].geom.Hy + ws[1].geom.Ly - 1].copy()
-
-    def both(w):
-        w.exchange(w.prv, 0, 1)
-        w.exchange(w.prv, 0, 0)
-
-    th = [threading.Thread(target=both, args=(w,)) for w in ws]
-    for t in th:
-        t.start()
-    for t in th:
-        t.join()
-    g = ws[0].geom
-    for k in range(g.Hy):
-        assert np.array_equal(ws[0].prv.pops[:, px, k], lo)       # below wall
-        assert np.array_equal(ws[1].prv.pops[:, px, g.Hy + g.Ly + k], hi)
-
-
 def _reach(c, H, L):
     """reach[l, i]: padded position i along one axis holds population l after
     an exchange: a physical site, or a halo site at depth d whose population
@@ -258,15 +229,14 @@ def _run_threads(ws, fn):
     (4, (2, 2), False), (8, (2, 4), False), (2, (1, 2), True)])
 def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
                                                     walls):
-    # The oracle knows nothing of the face table: pad the global state the
-    # way the physics sees it (Y wrapped, or edge-extended at walls; X
-    # wrapped) and compare every value a crossing population brings in.
+    # The oracle knows nothing of the face table: pad the global state
+    # periodically in X and Y and compare every value a crossing population
+    # brings in.  The rows beyond a wall are left out: no exchange fills
+    # them, so they must still hold the NaN they started with.
     vs = build_velocity_set(model)
     Lx, Ly, H = 12, 16, 3
     glob = np.random.default_rng(4).random((vs.Q, Lx, Ly))
-    want = np.pad(glob, ((0, 0), (0, 0), (H, H)),
-                  mode="edge" if walls else "wrap")
-    want = np.pad(want, ((0, 0), (H, H), (0, 0)), mode="wrap")
+    want = np.pad(glob, ((0, 0), (H, H), (H, H)), mode="wrap")
     fab = Fabric(Np, timeout=5.0)
     ws = [make_worker(t, vs, fab, walls=walls)
           for t in decompose(Lx, Ly, Np, tiling, periodic_y=not walls)]
@@ -276,8 +246,6 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
         w.prv.pops[...] = np.nan
         w.prv.pops[:, g.phys_x, g.phys_y] = \
             glob[:, t.x0:t.x0 + t.Lx, t.y0:t.y0 + t.Ly]
-        if walls:
-            w._extend_wall_halos(w.prv)
 
     def y_then_x(w):
         w.exchange(w.prv, 0, 1)
@@ -290,11 +258,13 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
         ref = want[:, t.x0:t.x0 + g.NX, t.y0:t.y0 + g.NY]
         mask = (_reach(vs.c[:, 0], H, g.Lx)[:, :, None]
                 & _reach(vs.c[:, 1], H, g.Ly)[:, None, :])
-        assert np.array_equal(got[mask], ref[mask])
-        outer = ([slice(0, H)] if t.lowermost else []) + \
+        beyond = ([slice(0, H)] if t.lowermost else []) + \
             ([slice(H + g.Ly, None)] if t.uppermost else [])
-        for rows in (outer if walls else []):
-            assert np.array_equal(got[:, g.phys_x, rows], ref[:, g.phys_x, rows])
+        for rows in beyond:
+            mask[:, :, rows] = False
+            assert np.all(np.isnan(got[:, :, rows]))
+        assert beyond or not walls
+        assert np.array_equal(got[mask], ref[mask])
 
 
 @pytest.mark.parametrize("layout", ["soa"])
@@ -364,12 +334,21 @@ def test_rank_count_invariance_bitwise():
     assert np.array_equal(one.populations, grid.populations)
 
 
-def test_halo_poison_never_reaches_physics():
+@pytest.mark.parametrize("tiling, schedule", [
+    ((1, 1), "staged"), ((1, 2), "overlapped"), ((2, 2), "overlapped")],
+    ids=["1x1-staged", "1x2-overlapped", "2x2-overlapped"])
+@pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
+def test_halo_poison_never_reaches_physics(model, tiling, schedule):
+    # every halo is NaN before each step's exchange, and the rows beyond the
+    # walls stay NaN through the run: nothing that reaches the physics may
+    # read them, so the bits equal those of the unpoisoned run
     p = PhysicsParams(tau=0.8, gy=-1e-4, Twall_top=0.6, Twall_bot=0.75)
-    res = run(SimConfig(Lx=16, Ly=16, Np=4, tiling=(2, 2), steps=5, params=p,
-                        init="random", init_kwargs={"seed": 1},
-                        debug_poison=True))
-    assert np.all(np.isfinite(res.populations))
+    kw = dict(Lx=16, Ly=16, model=model, Np=tiling[0] * tiling[1],
+              tiling=tiling, schedule=schedule, steps=5, params=p,
+              init="random", init_kwargs={"seed": 1})
+    poisoned = run(SimConfig(debug_poison=True, **kw))
+    assert np.all(np.isfinite(poisoned.populations))
+    assert np.array_equal(poisoned.populations, run(SimConfig(**kw)).populations)
 
 
 THIN = dict(steps=5, params=PhysicsParams(tau=0.8, gy=-1e-4, Twall_top=0.6,
@@ -398,6 +377,20 @@ def test_overlapped_tiles_narrower_than_frames_bitwise(model, Lx, Np):
     one = run(SimConfig(Np=1, schedule="staged", **kw))
     thin = run(SimConfig(Np=Np, tiling="1d", schedule="overlapped", **kw))
     assert np.array_equal(one.populations, thin.populations)
+
+
+@pytest.mark.parametrize("tiling", [(1, 2), (2, 2)], ids=["1x2", "2x2"])
+@pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
+def test_wall_tiles_as_high_as_the_wall_rows_bitwise(model, tiling):
+    # each tile is 3 rows high, so its one wall range spans both of its
+    # edges; pulls clamp only on the wall's side, and those from the other
+    # side read the rows the neighbour rank sent
+    kw = dict(Lx=8, Ly=6, model=model, **THIN)
+    one = run(SimConfig(Np=1, schedule="staged", **kw))
+    for schedule in ("staged", "overlapped"):
+        split = run(SimConfig(Np=tiling[0] * tiling[1], tiling=tiling,
+                              schedule=schedule, **kw))
+        assert np.array_equal(one.populations, split.populations), schedule
 
 
 @pytest.mark.parametrize("model, Lx, Np", [
