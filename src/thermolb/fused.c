@@ -7,7 +7,9 @@
    kernels.moments.  Every expression mirrors its numpy counterpart in
    kernels.py (_gather, _wall_equilibrium, moments, apply_shift, equilibrium,
    collide) term for term, with the same association and in the same
-   population order.
+   population order.  One accumulator, moment_sums, gives the density of
+   the wall rows and the collision moments in tlb_fused and the moments in
+   tlb_moments.
    Compiled without fast-math and with -ffp-contract=off (no fused
    multiply-add), each value is rounded exactly as numpy rounds it, so both
    paths give the same bits.
@@ -46,8 +48,8 @@ typedef struct {
     double cs2;
     double shift_u;          /* tau gx */
     double shift_v;          /* tau gy */
-    double shift_T;          /* tau^2 |g|^2 / D */
-    double omega;            /* dt / tau */
+    double shift_T;          /* tau^2 |g|^2 / 2 */
+    double omega;            /* 1 / tau */
 } tlb_model;
 
 typedef struct {
@@ -99,16 +101,36 @@ static void unit_hops(const tlb_model *m, double cs, double *ex, double *ey,
     }
 }
 
-/* rho = sum_l f_l, accumulated in l order from zero. */
-static void density(int Q, const double *restrict f, double *restrict rho,
-                    int64_t n)
+/* rho = sum_l f_l, mx = sum_l cx_l f_l, my = sum_l cy_l f_l and
+   e2 = sum_l |c_l|^2 f_l over n sites, with population l at f + l * lstride:
+   accumulated in l order from zero, skipping zero hops, as kernels.moments
+   does. */
+static inline __attribute__((always_inline)) void
+moment_sums(const tlb_model *m, const double *f, int64_t lstride, int64_t n,
+            double *restrict rho, double *restrict mx, double *restrict my,
+            double *restrict e2)
 {
-    for (int64_t j = 0; j < n; j++)
+    for (int64_t j = 0; j < n; j++) {
         rho[j] = 0.0;
-    for (int l = 0; l < Q; l++) {
-        const double *restrict fl = f + (int64_t)l * BLOCK;
+        mx[j] = 0.0;
+        my[j] = 0.0;
+        e2[j] = 0.0;
+    }
+    for (int l = 0; l < m->Q; l++) {
+        const double *restrict fl = f + (int64_t)l * lstride;
+        const double cx = (double)m->c[2 * l], cy = (double)m->c[2 * l + 1];
+        const double c2 = cx * cx + cy * cy;
         for (int64_t j = 0; j < n; j++)
             rho[j] = rho[j] + fl[j];
+        if (cx != 0.0)
+            for (int64_t j = 0; j < n; j++)
+                mx[j] = mx[j] + cx * fl[j];
+        if (cy != 0.0)
+            for (int64_t j = 0; j < n; j++)
+                my[j] = my[j] + cy * fl[j];
+        if (c2 != 0.0)
+            for (int64_t j = 0; j < n; j++)
+                e2[j] = e2[j] + c2 * fl[j];
     }
 }
 
@@ -128,7 +150,7 @@ relax_block(const int order, const tlb_model *m, const tlb_work *W,
     for (int k = 0; k < nw; k++) {
         const double Tw = W->Tw[k];
         int bad = !(Tw > 0.0);
-        density(Q, f, rho, n);
+        moment_sums(m, f, BLOCK, n, rho, mx, my, e2);
         for (int64_t j = 0; j < n; j++)
             bad |= !(rho[j] > 0.0);
         if (bad)
@@ -144,28 +166,7 @@ relax_block(const int order, const tlb_model *m, const tlb_work *W,
         }
     }
 
-    for (int64_t j = 0; j < n; j++) {
-        rho[j] = 0.0;
-        mx[j] = 0.0;
-        my[j] = 0.0;
-        e2[j] = 0.0;
-    }
-    for (int l = 0; l < Q; l++) {
-        const double *restrict fl = f + (int64_t)l * BLOCK;
-        const double cx = (double)m->c[2 * l], cy = (double)m->c[2 * l + 1];
-        const double c2 = cx * cx + cy * cy;
-        for (int64_t j = 0; j < n; j++)
-            rho[j] = rho[j] + fl[j];
-        if (cx != 0.0)
-            for (int64_t j = 0; j < n; j++)
-                mx[j] = mx[j] + cx * fl[j];
-        if (cy != 0.0)
-            for (int64_t j = 0; j < n; j++)
-                my[j] = my[j] + cy * fl[j];
-        if (c2 != 0.0)
-            for (int64_t j = 0; j < n; j++)
-                e2[j] = e2[j] + c2 * fl[j];
-    }
+    moment_sums(m, f, BLOCK, n, rho, mx, my, e2);
     int bad = 0;
     for (int64_t j = 0; j < n; j++)
         bad |= !(rho[j] > 0.0);
@@ -399,8 +400,8 @@ void tlb_equilibrium(const double *rho, const double *ux, const double *uy,
     }
 }
 
-/* kernels.moments of n sites, f[l * n + j]: rho, u and T accumulated in l
-   order as in relax_block.  Only Q and c of m are read.  Returns
+/* kernels.moments of n sites, f[l * n + j]: rho, u and T from the sums of
+   moment_sums, as in relax_block.  Only Q and c of m are read.  Returns
    TLB_BAD_DENSITY when some rho is not > 0; the outputs are then partly
    meaningless. */
 int tlb_moments(const double *f, int64_t n, const tlb_model *m, double *rho,
@@ -411,28 +412,7 @@ int tlb_moments(const double *f, int64_t n, const tlb_model *m, double *rho,
         const int64_t nb = n - first < BLOCK ? n - first : BLOCK;
         double mx[BLOCK], my[BLOCK], e2[BLOCK];
         double *restrict r = rho + first;
-        for (int64_t j = 0; j < nb; j++) {
-            r[j] = 0.0;
-            mx[j] = 0.0;
-            my[j] = 0.0;
-            e2[j] = 0.0;
-        }
-        for (int l = 0; l < m->Q; l++) {
-            const double *restrict fl = f + (int64_t)l * n + first;
-            const double cx = (double)m->c[2 * l], cy = (double)m->c[2 * l + 1];
-            const double c2 = cx * cx + cy * cy;
-            for (int64_t j = 0; j < nb; j++)
-                r[j] = r[j] + fl[j];
-            if (cx != 0.0)
-                for (int64_t j = 0; j < nb; j++)
-                    mx[j] = mx[j] + cx * fl[j];
-            if (cy != 0.0)
-                for (int64_t j = 0; j < nb; j++)
-                    my[j] = my[j] + cy * fl[j];
-            if (c2 != 0.0)
-                for (int64_t j = 0; j < nb; j++)
-                    e2[j] = e2[j] + c2 * fl[j];
-        }
+        moment_sums(m, f + first, n, nb, r, mx, my, e2);
         for (int64_t j = 0; j < nb; j++) {
             bad |= !(r[j] > 0.0);
             const double u = mx[j] / r[j], v = my[j] / r[j];

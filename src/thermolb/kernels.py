@@ -28,22 +28,19 @@ WALL_ROWS = 3
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Relaxation time, body force and wall temperatures (lattice units)."""
+    """Relaxation time, body force and wall temperatures (lattice units;
+    the time step is 1 and the lattice two-dimensional)."""
 
     tau: float
     gx: float = 0.0
     gy: float = 0.0
-    dt: float = 1.0
-    D: int = 2
     Twall_top: float = 1.0
     Twall_bot: float = 1.0
     eq_order: int | None = None  # None: use the stencil's supported order
 
     def __post_init__(self):
-        if self.tau <= self.dt / 2:
-            raise DomainError(f"tau={self.tau} violates tau > dt/2")
-        if self.D != 2:
-            raise DomainError("only D=2 is supported")
+        if not self.tau > 0.5:
+            raise DomainError(f"tau={self.tau} violates tau > 0.5")
 
 
 def check_density(rho):
@@ -150,11 +147,11 @@ def equilibrium(rho, ux, uy, T, vs: VelocitySet, order=None, check=True):
 
 
 def apply_shift(ux, uy, T, params: PhysicsParams):
-    """Body-force shift: u_bar = u + tau g,  T_bar = T - tau^2 g^2 / D."""
+    """Body-force shift: u_bar = u + tau g,  T_bar = T - tau^2 g^2 / 2."""
     ub = np.asarray(ux) + params.tau * params.gx
     vb = np.asarray(uy) + params.tau * params.gy
     g2 = params.gx * params.gx + params.gy * params.gy
-    Tb = np.asarray(T) - params.tau * params.tau * g2 / params.D
+    Tb = np.asarray(T) - params.tau * params.tau * g2 / 2
     if not np.all(Tb > 0.0):
         raise DomainError("shifted temperature T_bar <= 0")
     return ub, vb, Tb
@@ -166,7 +163,7 @@ def collide(f, params: PhysicsParams, vs: VelocitySet):
     rho, ux, uy, T = moments(f, vs)
     ub, vb, Tb = apply_shift(ux, uy, T, params)
     feq = equilibrium(rho, ub, vb, Tb, vs, order=params.eq_order, check=False)
-    omega = params.dt / params.tau
+    omega = 1.0 / params.tau
     return f - omega * (f - feq)
 
 
@@ -215,24 +212,30 @@ def _wall_equilibrium(block, Twall, params: PhysicsParams, vs: VelocitySet):
     return equilibrium(rho, zero, zero, Tw, vs, order=params.eq_order)
 
 
+def wall_rows(geom: LatticeGeometry, params: PhysicsParams, bottom, top):
+    """(lo, hi, Twall, side) padded-y ranges of the WALL_ROWS rows nearest
+    each wall present, bottom first; on a tile WALL_ROWS high one range
+    spans both edges."""
+    rows = []
+    if bottom:
+        rows.append((geom.Hy, geom.Hy + WALL_ROWS, params.Twall_bot, "bottom"))
+    if top:
+        rows.append((geom.Hy + geom.Ly - WALL_ROWS, geom.Hy + geom.Ly,
+                     params.Twall_top, "top"))
+    return tuple(rows)
+
+
 def bc(field: PopulationField, params: PhysicsParams, vs: VelocitySet,
-       top=True, bottom=True, x_range=None):
+       top=True, bottom=True):
     """Rewrite the 3 rows nearest each wall to fixed temperature, zero velocity.
 
     Populations become the local equilibrium at the pre-bc density, so the
     kernel conserves mass in the wall rows.  Runs strictly after propagate.
     """
-    geom = field.geom
-    pops = field.pops
-    xs = geom.phys_x if x_range is None else x_range
-    rows = []
-    if bottom:
-        rows.append(slice(geom.Hy, geom.Hy + WALL_ROWS))
-    if top:
-        rows.append(slice(geom.Hy + geom.Ly - WALL_ROWS, geom.Hy + geom.Ly))
-    walls = [params.Twall_bot, params.Twall_top]
-    for ys, Twall in zip(rows, walls if bottom else [params.Twall_top]):
-        pops[:, xs, ys] = _wall_equilibrium(pops[:, xs, ys], Twall, params, vs)
+    pops, xs = field.pops, field.geom.phys_x
+    for lo, hi, Twall, _ in wall_rows(field.geom, params, bottom, top):
+        pops[:, xs, lo:hi] = _wall_equilibrium(pops[:, xs, lo:hi], Twall,
+                                               params, vs)
 
 
 def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,

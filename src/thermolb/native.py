@@ -150,8 +150,7 @@ def _model(vs, order, params=None):
     if params is not None:
         g2 = params.gx * params.gx + params.gy * params.gy
         terms = (params.tau * params.gx, params.tau * params.gy,
-                 params.tau * params.tau * g2 / params.D,
-                 params.dt / params.tau)
+                 params.tau * params.tau * g2 / 2, 1.0 / params.tau)
     model = ctypes.pointer(_Model(vs.Q, int(order), c.ctypes.data,
                                   w.ctypes.data, vs.cs2, *terms))
     model.arrays = (c, w)

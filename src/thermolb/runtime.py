@@ -11,8 +11,10 @@ boundary site across the 3-deep halo.  Each worker builds a face table once,
 whose flat storage indices make every pack one gather and every unpack one
 scatter, for either axis.  The Y (non-contiguous) faces cover physical
 columns only and are exchanged before the X (contiguous) faces, which span
-the full padded height; that order serves only to forward diagonal-neighbor
-data into the corner halo cells.  Tiles are stored structure-of-arrays.
+the padded height, up to the outermost physical row at a wall (the kernel
+clamps pulls from beyond it); that order serves only to forward
+diagonal-neighbor data into the corner halo cells.  Tiles are stored
+structure-of-arrays.
 
 A step makes one kernel call per region group.  The staged schedule
 exchanges Y, then X, then runs the whole tile.  The overlapped schedule
@@ -41,7 +43,7 @@ from .geometry import LatticeGeometry, allocate_field, swap_buffers
 # all five kernel names in this module's namespace; for the same reason the
 # step calls the kernel through this module-level name.
 from .kernels import (WALL_ROWS, bc, collide, count_negative,  # noqa: F401
-                      propagate, propagate_collide_fused)
+                      propagate, propagate_collide_fused, wall_rows)
 from .velocity_set import VelocitySet
 
 DEFAULT_HALO = 3
@@ -207,13 +209,14 @@ class RankWorker:
         self.params = params
         self.fabric = fabric
         self.schedule = schedule
-        self.walls = walls
         self.debug_poison = debug_poison
         self.geom = LatticeGeometry(tile.Lx, tile.Ly, halo, halo, vs.Q)
         self.prv, self.nxt = allocate_field(self.geom, vs)
         self.plans = face_plans(vs, halo)
         self.halo = halo
-        self.wall_rows = self._wall_rows()
+        self.wall_rows = wall_rows(self.geom, params,
+                                   walls and tile.lowermost,
+                                   walls and tile.uppermost)
         self.faces = self._face_table()
         self.bulk, self.frames = self._regions()
         self.plan = None       # native.Plan, built on the first step
@@ -224,7 +227,10 @@ class RankWorker:
 
     def _face_table(self):
         """Build the four faces, Y before X; reject tiles too thin to
-        exchange or to hold their wall rows."""
+        exchange or to hold their wall rows.  Y faces span the physical
+        columns; X faces span the padded height up to the clamp rows, so on
+        a wall rank they stop at the outermost physical row, since the
+        kernel never reads the rows beyond a wall."""
         g, t = self.geom, self.tile
         for field in (self.prv, self.nxt):
             if not np.may_share_memory(field.flat, field.data):
@@ -236,7 +242,8 @@ class RankWorker:
                 f"{WALL_ROWS} wall rows")
         pops = self.prv.pops
         strides = [s // pops.itemsize for s in pops.strides]   # (l, x, y)
-        spans = (np.arange(g.NY), np.arange(g.Hx, g.Hx + g.Lx))
+        lo, hi = g.clamp_rows(self.wall_rows)
+        spans = (np.arange(lo, hi + 1), np.arange(g.Hx, g.Hx + g.Lx))
         faces = {}
         for (axis, sign), (to, frm) in _FACES.items():
             dst, src = t.neighbors[to], t.neighbors[frm]
@@ -309,18 +316,6 @@ class RankWorker:
         pops[:, g.Hx + g.Lx:, :] = np.nan
         pops[:, :, :g.Hy] = np.nan
         pops[:, :, g.Hy + g.Ly:] = np.nan
-
-    def _wall_rows(self):
-        """(lo, hi, Twall, side) padded-y ranges of the wall rows on this
-        tile; on a tile WALL_ROWS high one range spans both edges."""
-        g, p = self.geom, self.params
-        rows = []
-        if self.walls and self.tile.lowermost:
-            rows.append((g.Hy, g.Hy + WALL_ROWS, p.Twall_bot, "bottom"))
-        if self.walls and self.tile.uppermost:
-            rows.append((g.Hy + g.Ly - WALL_ROWS, g.Hy + g.Ly, p.Twall_top,
-                         "top"))
-        return tuple(rows)
 
     def _regions(self):
         """The overlapped schedule's bulk and its left and right frames.

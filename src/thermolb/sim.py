@@ -34,7 +34,6 @@ class SimConfig:
     init_kwargs: dict = field(default_factory=dict)
     snapshot_every: int = 0
     debug_poison: bool = False
-    recv_timeout: float = 60.0
 
     def __post_init__(self):
         if self.Np < 1:
@@ -103,7 +102,7 @@ def run(cfg: SimConfig) -> RunResult:
     f0 = build_initial_state(cfg.init, cfg.Lx, cfg.Ly, vs, **cfg.init_kwargs)
     tiles = decompose(cfg.Lx, cfg.Ly, cfg.Np, cfg.tiling,
                       periodic_y=cfg.periodic_y)
-    fabric = Fabric(cfg.Np, timeout=cfg.recv_timeout)
+    fabric = Fabric(cfg.Np)
     workers = []
     for tile in tiles:
         w = RankWorker(tile, vs, cfg.params, fabric, schedule=cfg.schedule,

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import PhysicsParams, moments
-from .planner import CostModelInput, comm_time_2d, factor_pairs, optimal_grid
+from .planner import CostModelInput, factor_pairs, optimal_grid
 from .sim import SimConfig, run
 from .velocity_set import build_velocity_set, gaussian_moment
 
@@ -27,8 +27,10 @@ def suite_moments():
                     if a + b <= odd_order:
                         worst_odd = max(worst_odd, abs(m))
                 else:
+                    m_swap = float(np.sum(vs.w * c[:, 0] ** b * c[:, 1] ** a))
                     expect = gaussian_moment(a, b, vs.cs2)
-                    worst_even = max(worst_even, abs(m - expect))
+                    worst_even = max(worst_even, abs(m - expect),
+                                     abs(m - m_swap))
         ok = worst_odd < 1e-12 and worst_even < 1e-12
         rows.append((f"moments[{name}]", ok,
                      f"odd={worst_odd:.2e} even={worst_even:.2e}"))
@@ -96,6 +98,9 @@ def suite_rank_invariance(Lx=32, Ly=32, steps=20, model="D2Q37"):
 
 
 def suite_planner_oracle(max_np=64, tuples=20, seed=0):
+    """optimal_grid against T_C = S (Ly / (By ny) + Lx / (Bx nx)) written
+    out here, over every factor pair of Np, and its real optimum against
+    the closed form."""
     rng = np.random.default_rng(seed)
     worst_int = True
     worst_real = 0.0
@@ -105,12 +110,14 @@ def suite_planner_oracle(max_np=64, tuples=20, seed=0):
         Bx = float(rng.uniform(1e8, 1e10))
         By = float(rng.uniform(1e8, 1e10))
         S = float(rng.uniform(8, 512))
-        inp0 = CostModelInput(Lx, Ly, 1, Bx, By, beta=1e-8, S=S)
+
+        def tc(nx, ny):
+            return S * (Ly / (By * ny) + Lx / (Bx * nx))
+
         for Np in range(1, max_np + 1):
             inp = CostModelInput(Lx, Ly, Np, Bx, By, beta=1e-8, S=S)
             real, best = optimal_grid(inp)
-            brute = min(factor_pairs(Np), key=lambda p: comm_time_2d(inp, *p))
-            if comm_time_2d(inp, *best) != comm_time_2d(inp, *brute):
+            if tc(*best) != min(tc(*p) for p in factor_pairs(Np)):
                 worst_int = False
             R = math.sqrt(Lx * By / (Ly * Bx))
             exp = (math.sqrt(Np) * R, math.sqrt(Np) / R)

@@ -151,6 +151,18 @@ def test_equilibrium_rejects_bad_state(d2q9):
         equilibrium(np.float64(1.0), 0.0, 0.0, np.float64(0.0), d2q9)
 
 
+# ---------------------------------------------------------- PhysicsParams --
+
+@pytest.mark.parametrize("tau", [0.5, 0.4, float("nan")])
+def test_params_reject_tau_not_above_half(tau):
+    with pytest.raises(DomainError):
+        PhysicsParams(tau=tau)
+
+
+def test_params_accept_tau_just_above_half():
+    assert PhysicsParams(tau=0.5000001).tau == 0.5000001
+
+
 # ------------------------------------------------------------ apply_shift --
 
 def test_shift_identity_without_force():
@@ -270,7 +282,7 @@ def test_collide_infinite_tau_limit(d2q9):
 
 
 def test_collide_is_contraction(d2q37):
-    # ||f' - feq|| = |1 - dt/tau| ||f - feq|| exactly (linearity of BGK)
+    # ||f' - feq|| = |1 - 1/tau| ||f - feq|| exactly (linearity of BGK)
     params = PhysicsParams(tau=0.8)
     rng = np.random.default_rng(17)
     f = 0.2 + rng.random((37, 6))

@@ -267,6 +267,22 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
         assert np.array_equal(got[mask], ref[mask])
 
 
+@pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
+def test_wall_rank_x_faces_stop_at_the_clamp_rows(model):
+    # the kernel never reads the rows beyond a wall, so no X message of a
+    # wall rank carries them
+    vs = build_velocity_set(model)
+    for t in decompose(12, 16, 2, (1, 2)):
+        w = make_worker(t, vs, Fabric(2))
+        lo, hi = w.geom.clamp_rows(w.wall_rows)
+        assert (lo, hi) != (0, w.geom.NY - 1)
+        for sign in (1, -1):
+            face = w.faces[(0, sign)]
+            for index in (face.send_index, face.halo_index):
+                _, _, y = np.unravel_index(index, w.prv.pops.shape)
+                assert np.array_equal(np.unique(y), np.arange(lo, hi + 1))
+
+
 @pytest.mark.parametrize("layout", ["soa"])
 @pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
 def test_single_wall_rank_pack_y_round_trip(model, layout):
@@ -463,16 +479,22 @@ def test_snapshot_memory_grows_by_the_block_and_macro_fields():
     # Each extra snapshot may cost only the four macro fields, 4 doubles per
     # site: the ranks reduce their tiles to rho, u and T at the snapshot
     # step, and no population block or global population copy is kept.
+    # Each peak is the least of three runs: the two rank threads' numpy
+    # temporaries meet at the peak only by chance, while a leak would show
+    # in every run.
     run(_tg9(Lx=8, Ly=8, steps=1))        # load the kernel first
 
     def peak(every):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run(_tg9(snapshot_every=every))
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run(_tg9(snapshot_every=every))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        return min(peaks)
 
     per_snapshot = (peak(1) - peak(4)) / (16 - 4)
     assert per_snapshot / (64 * 64) <= 1.1 * 4 * 8
