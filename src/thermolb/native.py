@@ -23,6 +23,7 @@ bits.
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -109,7 +110,8 @@ def _build_and_load():
     lib.tlb_equilibrium.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64, model,
                                     ptr]
     lib.tlb_equilibrium.restype = None
-    lib.tlb_moments.argtypes = [ptr, ctypes.c_int64, model, ptr, ptr, ptr, ptr]
+    lib.tlb_moments.argtypes = [ptr, ptr, ctypes.c_int64, ctypes.c_int64,
+                                model, ptr, ptr, ptr, ptr]
     lib.tlb_moments.restype = ctypes.c_int
     lib.tlb_csv_rows.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64,
                                  ctypes.c_int64, ctypes.c_int64, ptr, ptr]
@@ -185,15 +187,21 @@ def moments(f, vs):
     """tlb_moments: (rho, ux, uy, T) of a (Q, ...) population block, or None
     when the library is unavailable, f is not a float64 array of Q
     populations with at least one site dimension, or some density is not
-    > 0."""
+    > 0.  The block is read in place through its strides."""
     lib = load()
     if (lib is None or not _float64_sites((f,)) or f.ndim < 2
             or f.shape[0] != vs.Q):
         return None
-    f = np.ascontiguousarray(f)
-    out = [np.empty(f.shape[1:]) for _ in range(4)]
-    status = lib.tlb_moments(f.ctypes.data, out[0].size,
-                             _model(vs, vs.eq_order),
+    sites = f.shape[1:]
+    # (Q, x, y) with y the last site dimension: a view unless the leading
+    # site dimensions cannot be merged
+    block = f.reshape(vs.Q, math.prod(sites[:-1]), sites[-1])
+    if any(s % block.itemsize for s in block.strides):
+        block = np.ascontiguousarray(block)
+    out = [np.empty(sites) for _ in range(4)]
+    status = lib.tlb_moments(block.ctypes.data,
+                             (ctypes.c_int64 * 3)(*_element_strides(block)),
+                             *block.shape[1:], _model(vs, vs.eq_order),
                              *[a.ctypes.data for a in out])
     return tuple(out) if status == 0 else None
 

@@ -13,16 +13,20 @@ scatter, for either axis.  The Y (non-contiguous) faces cover physical
 columns only and are exchanged before the X (contiguous) faces, which span
 the padded height, up to the outermost physical row at a wall (the kernel
 clamps pulls from beyond it); that order serves only to forward
-diagonal-neighbor data into the corner halo cells.  Tiles are stored
+diagonal-neighbor data into the corner halo cells.  A face whose neighbours
+are the rank itself (X when the grid is one tile wide, Y on a periodic ring
+one tile high) is copied in place, with no message.  Tiles are stored
 structure-of-arrays.
 
 A step makes one kernel call per region group.  The staged schedule
 exchanges Y, then X, then runs the whole tile.  The overlapped schedule
 exchanges Y, posts the X sends, runs the bulk (full height, all but a
 max_hop-wide frame at each X edge) while they are in flight, receives X and
-runs both frames in one call.  Each worker builds a native.Plan on its first
-step, so every call passes prebuilt kernel arguments; the kernel also
-returns the step's count of negative populations.
+runs both frames in one call; when no X face crosses ranks there is nothing
+in flight to overlap, and it steps as the staged schedule does, in one call.
+Each worker builds a native.Plan on its first step, so every call passes
+prebuilt kernel arguments; the kernel also returns the step's count of
+negative populations.
 """
 
 import queue
@@ -208,7 +212,6 @@ class RankWorker:
         self.vs = vs
         self.params = params
         self.fabric = fabric
-        self.schedule = schedule
         self.debug_poison = debug_poison
         self.geom = LatticeGeometry(tile.Lx, tile.Ly, halo, halo, vs.Q)
         self.prv, self.nxt = allocate_field(self.geom, vs)
@@ -219,6 +222,10 @@ class RankWorker:
                                    walls and tile.uppermost)
         self.faces = self._face_table()
         self.bulk, self.frames = self._regions()
+        # Only an X exchange with another rank has anything to overlap.
+        self.overlap = schedule == "overlapped" and not all(
+            self._local(face) for face in self.faces.values()
+            if face.axis == 0)
         self.plan = None       # native.Plan, built on the first step
         self.metrics = []
         self.snapshots = []
@@ -287,19 +294,31 @@ class RankWorker:
     def unpack_y(self, f, sign, payload):
         self._unpack(f, 1, sign, payload)
 
+    def _local(self, face):
+        """True when both neighbours of the face are this rank."""
+        return face.dst == face.src == self.tile.rank
+
     def send(self, f, step, axis):
-        """Pack and post this rank's faces along axis."""
-        pack = self.pack_y if axis else self.pack_x
+        """Pack and post this rank's faces along axis; a face whose
+        neighbours are this rank is copied in place, with no message."""
+        pack, unpack = ((self.pack_y, self.unpack_y) if axis
+                        else (self.pack_x, self.unpack_x))
         for face in self.faces.values():
-            if face.axis == axis and face.dst is not None:
+            if face.axis != axis or face.dst is None:
+                continue
+            if self._local(face):
+                unpack(f, face.sign, pack(f, face.sign))
+            else:
                 self.fabric.send(self.tile.rank, face.dst, face.tag, step,
                                  pack(f, face.sign))
 
     def recv(self, f, step, axis):
-        """Receive and unpack this rank's halos along axis."""
+        """Receive and unpack this rank's halos along axis from other
+        ranks."""
         unpack = self.unpack_y if axis else self.unpack_x
         for face in self.faces.values():
-            if face.axis == axis and face.src is not None:
+            if (face.axis == axis and face.src is not None
+                    and not self._local(face)):
                 unpack(f, face.sign, self.fabric.recv(
                     self.tile.rank, face.src, face.tag, step))
 
@@ -345,7 +364,7 @@ class RankWorker:
         self.exchange(prv, step_no, 1)
         t1 = time.perf_counter()
         t["t_comm_nc"] = t1 - t0
-        if self.schedule == "staged":
+        if not self.overlap:
             self.exchange(prv, step_no, 0)
             t2 = time.perf_counter()
             t["t_comm_c"] = t2 - t1

@@ -1,5 +1,7 @@
 """Run orchestration: spawn rank threads, collect metrics, gather the state."""
 
+import contextlib
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -113,7 +115,17 @@ def run(cfg: SimConfig) -> RunResult:
         workers.append(w)
     del f0  # the tiles hold the initial state now
 
+    # Rank r's thread is bound to CPU r (mod the process's CPUs), as an MPI
+    # launcher binds ranks to cores: unbound, the scheduler can keep two
+    # busy rank threads on one core for a whole job while another idles,
+    # and the ranks then take turns at every step.
+    cpus = (sorted(os.sched_getaffinity(0))
+            if cfg.Np > 1 and hasattr(os, "sched_setaffinity") else [])
+
     def worker_loop(w):
+        if len(cpus) > 1:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpus[w.tile.rank % len(cpus)]})
         try:
             for s in range(cfg.steps):
                 if fabric.abort.is_set():

@@ -76,6 +76,8 @@ def suite_conservation(Lx=32, Ly=32, steps=100, model="D2Q37"):
 def suite_rank_invariance(Lx=32, Ly=32, steps=20, model="D2Q37"):
     params = PhysicsParams(tau=0.8, gy=-1e-4, Twall_top=0.6, Twall_bot=0.75)
     variants = [("Np1 staged", "1d", 1, "staged"),
+                ("Np1 overlapped", "1d", 1, "overlapped"),
+                ("Np2 1x2 overlapped", (1, 2), 2, "overlapped"),
                 ("Np4 1d overlapped", "1d", 4, "overlapped"),
                 ("Np4 2x2 overlapped", (2, 2), 4, "overlapped"),
                 ("Np4 2x2 staged", (2, 2), 4, "staged"),

@@ -5,6 +5,8 @@ The numpy path is forced by setting the loaded-library handle
 available.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,46 @@ def test_compiled_matches_numpy_bitwise(compiled, monkeypatch, model, order,
         want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
         assert np.array_equal(nxt.pops, want), name
         assert np.all(nxt.pops[:, xs, ys] != 0.0), name
+
+
+@pytest.mark.parametrize("layout", ["soa", "aos"])
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_thin_boxes_compiled_match_numpy_bitwise(compiled, monkeypatch, model,
+                                                 layout):
+    # boxes lower than the kernel's THIN_ROWS are gathered along the row,
+    # the rest along the column; the tile is wide enough that one row's
+    # runs cross the kernel's 256-site block boundaries
+    vs = build_velocity_set(model)
+    lx, ly = 100, 20
+    g = LatticeGeometry(lx, ly, 3, 3, vs.Q, layout)
+    prv, _ = allocate_field(g, vs)
+    f = build_initial_state("random", lx, ly, vs, seed=4, amplitude=0.02)
+    prv.pops[:, g.phys_x, g.phys_y] = f
+    periodic_fill(prv)
+    for rows in beyond_walls(prv):
+        rows[...] = np.nan
+    params = PhysicsParams(tau=0.8, gx=2e-5, gy=-1e-4)
+    walls = wall_rows(g, vs)
+    x0, x1, y0, y1 = g.Hx, g.Hx + g.Lx, g.Hy, g.Hy + g.Ly
+    boxes = {
+        "1 row, interior": (slice(x0, x1), slice(y0 + 9, y0 + 10)),
+        "1 row, on the bottom wall": (slice(x0, x1), slice(y0, y0 + 1)),
+        "2 rows against the bottom wall": (slice(x0, x1),
+                                           slice(y0, y0 + 2)),
+        "7 rows against the top wall": (slice(x0, x1), slice(y1 - 7, y1)),
+        "7 rows, 50 wide, interior": (slice(x0 + 7, x0 + 57),
+                                      slice(y0 + 6, y0 + 13)),
+        "8 rows, interior": (slice(x0 + 3, x1 - 4), slice(y0 + 5, y0 + 13)),
+        "9 rows against the bottom wall": (slice(x0 + 1, x1),
+                                           slice(y0, y0 + 9)),
+    }
+    for name, (xs, ys) in boxes.items():
+        nxt = type(prv)(g, "nxt")
+        plan = native.Plan(prv, nxt, params, vs, walls)
+        assert plan.run(prv, nxt, [(xs, ys)]) is not None, name
+        want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
+        assert np.array_equal(nxt.pops, want), name
+        assert np.all(np.isfinite(nxt.pops[:, xs, ys])), name
 
 
 @pytest.mark.parametrize("layout", ["soa", "aos"])
@@ -288,6 +330,26 @@ def test_moments_compiled_matches_numpy_bitwise(compiled, monkeypatch, model):
             fast = moments(f, vs, check=check)
             slow = numpy_call(monkeypatch, moments, f, vs, check=check)
             assert all(same_bits(a, b) for a, b in zip(fast, slow)), name
+
+
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_moments_read_a_padded_view_in_place(compiled, model):
+    # a rank's snapshot block is a strided view of its padded buffer: the
+    # compiled moments read it through its strides, with no copy of the
+    # populations, and give the contiguous block's bits
+    vs = build_velocity_set(model)
+    g, prv = make_state(vs, "soa", "near-equilibrium")
+    view = prv.pops[:, g.phys_x, g.phys_y]
+    want = moments(np.ascontiguousarray(view), vs)
+    tracemalloc.start()
+    try:
+        got = moments(view, vs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+    # the four outputs take 32 B a site; a copy would add 8 Q B a site
+    assert peak < 40 * LX * LY
 
 
 def test_fallback_inputs_keep_their_results(compiled, monkeypatch, d2q37):

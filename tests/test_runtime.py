@@ -1,3 +1,4 @@
+import os
 import threading
 import tracemalloc
 
@@ -432,6 +433,98 @@ def test_overlapped_regions_partition_the_tile(model, Lx, Np):
     else:
         assert w.bulk[0].start == w.bulk[0].stop
         assert all(0 <= n <= vs.max_hop for n in widths)
+
+
+TILINGS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("boundary", ["walls", "periodic_y"])
+@pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
+def test_every_small_tiling_and_schedule_bitwise(model, boundary):
+    # self faces copied in place, one call per step when no X face crosses
+    # ranks, and the two-call overlap otherwise: all give Np=1 staged's bits
+    walls = boundary == "walls"
+    kw = dict(Lx=12, Ly=16, model=model, walls=walls, periodic_y=not walls,
+              **THIN)
+    one = run(SimConfig(Np=1, schedule="staged", **kw)).populations
+    for tiling in TILINGS:
+        for schedule in ("staged", "overlapped"):
+            split = run(SimConfig(Np=tiling[0] * tiling[1], tiling=tiling,
+                                  schedule=schedule, **kw))
+            assert np.array_equal(one, split.populations), (tiling, schedule)
+
+
+@pytest.mark.parametrize("tiling, periodic_y, tags", [
+    ((1, 1), False, set()), ((1, 1), True, set()),
+    ((2, 1), True, {"x+", "x-"}), ((1, 2), False, {"y+", "y-"})])
+@pytest.mark.parametrize("schedule", ["staged", "overlapped"])
+def test_faces_to_the_rank_itself_send_no_message(d2q37, tiling, periodic_y,
+                                                 tags, schedule):
+    # a face whose neighbours are the rank itself is copied in place, so
+    # the fabric only ever carries the faces that cross ranks
+    Np = tiling[0] * tiling[1]
+    fab = Fabric(Np, timeout=5.0)
+    ws = [make_worker(t, d2q37, fab, walls=not periodic_y,
+                      schedule=schedule)
+          for t in decompose(12, 16, Np, tiling, periodic_y=periodic_y)]
+    for w in ws:
+        w.prv.pops[...] = d2q37.w[:, None, None]
+
+    def steps(w):
+        for s in range(3):
+            w.step(s)
+
+    _run_threads(ws, steps)
+    assert {tag for _, _, tag in fab.channels} == tags
+    assert all(src != dst for src, dst, _ in fab.channels)
+    assert all(chan.empty() for chan in fab.channels.values())
+
+
+@pytest.mark.parametrize("tiling, calls", [((1, 2), 1), ((2, 1), 2),
+                                           ((1, 1), 1)])
+def test_overlapped_kernel_calls_per_rank_step(monkeypatch, tiling, calls):
+    # the overlapped step splits the tile into bulk and frames only when an
+    # X face crosses ranks; otherwise it runs the whole tile in one call
+    from thermolb import runtime
+    seen = []
+    fused = runtime.propagate_collide_fused
+
+    def counted(*args, **kwargs):
+        seen.append(args[4])
+        return fused(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "propagate_collide_fused", counted)
+    Np, steps = tiling[0] * tiling[1], 4
+    res = run(SimConfig(Lx=12, Ly=16, model="D2Q37", Np=Np, tiling=tiling,
+                        schedule="overlapped", **dict(THIN, steps=steps)))
+    assert len(seen) == calls * Np * steps
+    if calls == 1:
+        assert all(region is None for region in seen)
+        assert all(row["t_border"] == 0.0 for row in res.metrics)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs to bind ranks to")
+@pytest.mark.parametrize("Np, tiling", [(1, "1d"), (2, "1d"), (4, (2, 2))])
+def test_rank_threads_bound_round_robin_to_the_process_cpus(monkeypatch, Np,
+                                                             tiling):
+    # a rank's thread runs on CPU rank mod n of the caller's n CPUs, and the
+    # caller's own set is left as it was; one rank is not bound
+    cpus = sorted(os.sched_getaffinity(0))
+    seen = {}
+    step = RankWorker.step
+
+    def recorded(self, step_no):
+        seen[self.tile.rank] = os.sched_getaffinity(0)
+        return step(self, step_no)
+
+    monkeypatch.setattr(RankWorker, "step", recorded)
+    run(SimConfig(Lx=16, Ly=16, model="D2Q9", Np=Np, tiling=tiling,
+                  **dict(THIN, steps=1)))
+    assert os.sched_getaffinity(0) == set(cpus)
+    assert seen == ({0: set(cpus)} if Np == 1 else
+                    {r: {cpus[r % len(cpus)]} for r in range(Np)})
 
 
 def test_metrics_per_step_and_rank():
