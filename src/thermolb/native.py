@@ -22,6 +22,7 @@ bits.
 """
 
 import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -49,9 +50,9 @@ class _Model(ctypes.Structure):
 
     _fields_ = [("Q", ctypes.c_int), ("order", ctypes.c_int),
                 ("c", ctypes.c_void_p), ("w", ctypes.c_void_p),
-                ("cs2", ctypes.c_double), ("shift_u", ctypes.c_double),
-                ("shift_v", ctypes.c_double), ("shift_T", ctypes.c_double),
-                ("omega", ctypes.c_double)]
+                ("opp", ctypes.c_void_p), ("cs2", ctypes.c_double),
+                ("shift_u", ctypes.c_double), ("shift_v", ctypes.c_double),
+                ("shift_T", ctypes.c_double), ("omega", ctypes.c_double)]
 
 
 def _compiler():
@@ -139,6 +140,18 @@ def _element_strides(a):
     return [s // a.itemsize for s in a.strides]
 
 
+@functools.lru_cache(maxsize=8)
+def _opposites(hops):
+    """tlb_model.opp of the (Q, 2) int64 hops whose bytes are hops: the
+    index of each hop's negation (the rest hop is its own).  Cached, since
+    _model runs on every whole-array call."""
+    c = np.frombuffer(hops, dtype=np.int64).reshape(-1, 2).tolist()
+    index = {(cx, cy): l for l, (cx, cy) in enumerate(c)}
+    opp = np.array([index[-cx, -cy] for cx, cy in c], dtype=np.intc)
+    opp.setflags(write=False)
+    return opp
+
+
 def _model(vs, order, params=None):
     """A pointer to the tlb_model of vs at Hermite order.
 
@@ -148,14 +161,16 @@ def _model(vs, order, params=None):
     """
     c = np.ascontiguousarray(vs.c, dtype=np.int64)
     w = np.ascontiguousarray(vs.w, dtype=np.float64)
+    opp = _opposites(c.tobytes())
     terms = (0.0, 0.0, 0.0, 0.0)
     if params is not None:
         g2 = params.gx * params.gx + params.gy * params.gy
         terms = (params.tau * params.gx, params.tau * params.gy,
                  params.tau * params.tau * g2 / 2, 1.0 / params.tau)
     model = ctypes.pointer(_Model(vs.Q, int(order), c.ctypes.data,
-                                  w.ctypes.data, vs.cs2, *terms))
-    model.arrays = (c, w)
+                                  w.ctypes.data, opp.ctypes.data, vs.cs2,
+                                  *terms))
+    model.arrays = (c, w, opp)
     return model
 
 

@@ -23,6 +23,12 @@ from conftest import beyond_walls, periodic_fill
 LX, LY = 24, 20
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 def make_state(vs, layout, kind, seed=7):
     g = LatticeGeometry(LX, LY, 3, 3, vs.Q, layout)
     prv, _ = allocate_field(g, vs)
@@ -32,7 +38,7 @@ def make_state(vs, layout, kind, seed=7):
         noise = np.random.default_rng(seed).standard_normal(f.shape)
         f = f * (1.0 + 1e-3 * noise)
     else:
-        f = build_initial_state("rayleigh-taylor", LX, LY, vs)
+        f = build_initial_state(kind, LX, LY, vs)
     prv.pops[:, g.phys_x, g.phys_y] = f
     periodic_fill(prv)
     return g, prv
@@ -63,7 +69,8 @@ def numpy_result(monkeypatch, prv, params, vs, region, walls):
     return nxt.pops
 
 
-@pytest.mark.parametrize("kind", ["near-equilibrium", "rayleigh-taylor"])
+@pytest.mark.parametrize("kind", ["near-equilibrium", "rayleigh-taylor",
+                                  "uniform"])
 @pytest.mark.parametrize("layout", ["soa", "aos"])
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
@@ -74,14 +81,18 @@ def test_compiled_matches_numpy_bitwise(compiled, monkeypatch, model, order,
     # both paths clamp pulls from beyond the walls to the edge rows
     for rows in beyond_walls(prv):
         rows[...] = np.nan
-    params = PhysicsParams(tau=0.8, gx=2e-5, gy=-1e-4, eq_order=order)
+    # "uniform" is at rest with no force: its moments give uy = 0 exactly
+    # (on D2Q9 ux too), so p is a signed zero on every hop with no x part,
+    # and only a byte comparison sees the sign of a zero
+    force = (0.0, 0.0) if kind == "uniform" else (2e-5, -1e-4)
+    params = PhysicsParams(tau=0.8, gx=force[0], gy=force[1], eq_order=order)
     walls = wall_rows(g, vs)
     for name, (xs, ys) in regions(g).items():
         nxt = type(prv)(g, "nxt")
         plan = native.Plan(prv, nxt, params, vs, walls)
         assert plan.run(prv, nxt, [(xs, ys)]) is not None, name
         want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
-        assert np.array_equal(nxt.pops, want), name
+        assert same_bits(nxt.pops, want), name
         assert np.all(nxt.pops[:, xs, ys] != 0.0), name
 
 
@@ -121,7 +132,7 @@ def test_thin_boxes_compiled_match_numpy_bitwise(compiled, monkeypatch, model,
         plan = native.Plan(prv, nxt, params, vs, walls)
         assert plan.run(prv, nxt, [(xs, ys)]) is not None, name
         want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
-        assert np.array_equal(nxt.pops, want), name
+        assert same_bits(nxt.pops, want), name
         assert np.all(np.isfinite(nxt.pops[:, xs, ys])), name
 
 
@@ -273,11 +284,6 @@ def numpy_call(monkeypatch, fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def near_equilibrium_fields(vs, shape, seed=5):
     rng = np.random.default_rng(seed)
     return (1.0 + 0.05 * rng.standard_normal(shape),
@@ -311,6 +317,57 @@ def test_equilibrium_compiled_matches_numpy_bitwise(compiled, monkeypatch,
         fast = equilibrium(*fields, vs, order=order)
         slow = numpy_call(monkeypatch, equilibrium, *fields, vs, order=order)
         assert same_bits(fast, slow), name
+
+
+def pair_edge_cases(n=64, seed=11):
+    """(ux, uy) cases where the equilibria of a hop and of its opposite
+    meet exact zeros, subnormals and overflow."""
+    rng = np.random.default_rng(seed)
+    a = 0.05 * rng.standard_normal(n)
+    zero = np.zeros(n)
+    signs = rng.choice([-1.0, 1.0], n)
+    subnormal = rng.integers(-2 ** 40, 2 ** 40, n) * 5e-324
+    huge = signs * 10.0 ** rng.uniform(70.0, 160.0, n)
+    return {
+        "u = 0": (zero, zero),
+        "u = -0": (-zero, -zero),
+        # p = 0 by cancellation for the (1, -1) and (1, 1) hops, and for
+        # (1, -2), (1, 2), (2, -1) and (2, 1) below
+        "ux = uy": (a, a),
+        "ux = -uy": (a, -a),
+        "ux = 2 uy": (2.0 * a, a),
+        "ux = -2 uy": (-2.0 * a, a),
+        "uy = 2 ux": (a, 2.0 * a),
+        "uy = -2 ux": (a, -2.0 * a),
+        "subnormal ux": (subnormal, zero),
+        "subnormal u": (subnormal, subnormal[::-1]),
+        "subnormal ux = uy": (subnormal, subnormal),
+        "subnormal ux = -2 uy": (-2.0 * subnormal, subnormal),
+        # p^4 overflows: c4 is inf, or NaN once s p^2 overflows as well
+        "huge u": (huge, rng.permutation(huge)),
+        "huge ux = uy": (huge, huge),
+    }
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_equilibrium_pairs_match_numpy_bitwise(compiled, monkeypatch, model,
+                                               order):
+    # the compiled equilibrium shares the terms even in p between a hop and
+    # its opposite; the numpy reference computes every population apart
+    vs = build_velocity_set(model)
+    rng = np.random.default_rng(12)
+    n = 64
+    rho = 1.0 + 0.05 * rng.standard_normal(n)
+    T = vs.cs2 * (1.0 + 0.05 * rng.standard_normal(n))
+    for name, (ux, uy) in pair_edge_cases(n).items():
+        fast = native.equilibrium(rho, ux, uy, T, vs, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slow = numpy_call(monkeypatch, equilibrium, rho, ux, uy, T, vs,
+                              order=order)
+        assert same_bits(fast, slow), name
+        if name == "huge u" and order == 4:
+            assert np.isinf(slow).any() and np.isnan(slow).any(), name
 
 
 @pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
