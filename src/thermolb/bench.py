@@ -134,8 +134,10 @@ def _exchange_pair(edge, axis, model, seed=0):
     vs = build_velocity_set(model)
     params = PhysicsParams(tau=1.0)
     fabric = Fabric(2, timeout=300.0)
+    # the X pair's Y neither wraps nor walls: its X faces span the padded Y
     grid = (2, 1) if axis == 0 else (1, 2)
-    tiles = decompose(grid[0] * edge, grid[1] * edge, 2, grid, periodic_y=True)
+    tiles = decompose(grid[0] * edge, grid[1] * edge, 2, grid,
+                      periodic_y=axis == 1)
     workers = []
     rng = np.random.default_rng(seed)
     for tile in tiles:

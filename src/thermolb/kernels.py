@@ -177,16 +177,25 @@ def _check_region(geom: LatticeGeometry, region):
     return xs, ys
 
 
-def _gather(prv_pops, vs: VelocitySet, xs, ys, clamp):
+def _pulled(start, stop, lo, hi, wrap):
+    """Pulled indices start .. stop-1 mapped into [lo, hi]: shifted by the
+    range's length when wrap is set, else clamped; a slice when none moves."""
+    if lo <= start and stop - 1 <= hi:
+        return slice(start, stop)
+    i = np.arange(start, stop)
+    return lo + (i - lo) % (hi - lo + 1) if wrap else np.clip(i, lo, hi)
+
+
+def _gather(prv_pops, vs: VelocitySet, xs, ys, pull, wrap):
     """Pull gather: scratch[l] = prv[l, x - cx, y - cy] over the region,
-    with y - cy clamped to the rows clamp = (lo, hi)."""
+    with each axis mapped into its range of pull = geom.pull_ranges(walls,
+    wrap)."""
     out = np.empty((vs.Q, xs.stop - xs.start, ys.stop - ys.start))
     for l in range(vs.Q):
         dx, dy = int(vs.c[l, 0]), int(vs.c[l, 1])
-        ya, yb = ys.start - dy, ys.stop - dy
-        rows = (slice(ya, yb) if clamp[0] <= ya and yb - 1 <= clamp[1]
-                else np.clip(np.arange(ya, yb), *clamp))
-        out[l] = prv_pops[l, xs.start - dx : xs.stop - dx][:, rows]
+        cols = _pulled(xs.start - dx, xs.stop - dx, *pull[0], wrap[0])
+        rows = _pulled(ys.start - dy, ys.stop - dy, *pull[1], wrap[1])
+        out[l] = prv_pops[l, cols][:, rows]
     return out
 
 
@@ -240,7 +249,8 @@ def bc(field: PopulationField, params: PhysicsParams, vs: VelocitySet,
 
 def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
                             params: PhysicsParams, vs: VelocitySet,
-                            region=None, walls=(), plan=None):
+                            region=None, walls=(), plan=None,
+                            wrap=(False, False)):
     """Gather, wall rewrite and collide in one pass over one or more regions.
 
     region is one (xs, ys) pair of physical slices or a list of them; None
@@ -248,8 +258,12 @@ def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
     padded-y ranges, side "bottom" or "top".  A region's rows inside one
     are set to the wall equilibrium (gathered density, zero velocity, Twall)
     before the collision.  Pulls from beyond a wall read the outermost
-    physical row on its side (geom.clamp_rows), so the result is bit-identical to staged propagate -> bc -> collide on
-    a field whose rows beyond each wall repeat its edge row.
+    physical row on its side, so the result is bit-identical to staged
+    propagate -> bc -> collide on a field whose rows beyond each wall repeat
+    its edge row.  wrap = (x, y) marks the axes that are periodic within the
+    tile: a pull across one reads the physical site one tile length away,
+    never the halo, so the result is that of a tile whose halos along it
+    hold the periodic copy (geom.pull_ranges maps both cases).
 
     The compiled kernel does all regions in one call when it is available,
     through plan (a native.Plan) when it serves these arguments, otherwise
@@ -268,15 +282,15 @@ def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
             boxes.append((xs, ys))
     if not boxes:
         return 0
-    if plan is None or not plan.serves(prv, nxt, params, vs, walls):
-        plan = native.Plan(prv, nxt, params, vs, walls)
+    if plan is None or not plan.serves(prv, nxt, params, vs, walls, wrap):
+        plan = native.Plan(prv, nxt, params, vs, walls, wrap)
     negatives = plan.run(prv, nxt, boxes)
     if negatives is not None:
         return negatives
     negatives = 0
-    clamp = geom.clamp_rows(walls)
+    pull = geom.pull_ranges(walls, wrap)
     for xs, ys in boxes:
-        scratch = _gather(prv.pops, vs, xs, ys, clamp)
+        scratch = _gather(prv.pops, vs, xs, ys, pull, wrap)
         for lo, hi, Twall, _ in walls:
             rows = slice(max(lo, ys.start) - ys.start,
                          min(hi, ys.stop) - ys.start)

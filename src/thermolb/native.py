@@ -103,8 +103,7 @@ def _build_and_load():
         return None
     ptr = ctypes.c_void_p
     lib.tlb_fused.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int, ctypes.c_int,
-                              ptr, ptr, ctypes.c_int64, ctypes.c_int64,
-                              ctypes.POINTER(_Model),
+                              ptr, ptr, ptr, ctypes.POINTER(_Model),
                               ctypes.POINTER(ctypes.c_int64)]
     lib.tlb_fused.restype = ctypes.c_int
     model = ctypes.POINTER(_Model)
@@ -225,24 +224,27 @@ class Plan:
     """tlb_fused's arguments for one pair of buffers, built once.
 
     A plan holds the model struct, the data pointers and element strides of
-    both buffers (for either direction of the prv/nxt swap), the wall rows
-    and their clamp rows, a cache of box arrays keyed by region bounds, and
-    a reference to
-    every array those point into.  It serves only the buffers, params,
-    velocity set and walls it was built from (see serves); a rank builds one
-    on its first step and passes it to every kernel call.
+    both buffers (for either direction of the prv/nxt swap), the wall rows,
+    each axis's pull range and wrap, a cache of box arrays keyed by region
+    bounds, and a reference to every array those point into.  It serves
+    only the buffers, params, velocity set, walls and wrap it was built
+    from (see serves); a rank builds one on its first step and passes it to
+    every kernel call.
     """
 
-    def __init__(self, prv, nxt, params, vs, walls):
-        self.params, self.vs, self.walls = params, vs, walls
+    def __init__(self, prv, nxt, params, vs, walls, wrap=(False, False)):
+        self.params, self.vs, self.walls, self.wrap = params, vs, walls, wrap
         self.buffers = (prv.data, nxt.data)
         self._boxes = {}
         self._args = None          # None: the kernel cannot take these buffers
         order = vs.eq_order if params.eq_order is None else params.eq_order
         geom = prv.geom
         pops = (prv.pops, nxt.pops)
-        # Every pull reads at most max_hop sites outside the physical region.
+        # Every pull reads at most max_hop sites outside the physical region,
+        # and a wrapped one is shifted by the tile's extent only once.
         if (order not in (2, 3, 4) or min(geom.Hx, geom.Hy) < vs.max_hop
+                or any(w and n < vs.max_hop
+                       for w, n in zip(wrap, (geom.Lx, geom.Ly)))
                 or any(p.dtype != np.float64 or not p.flags.writeable
                        or p.shape != (vs.Q, geom.NX, geom.NY)
                        or any(s % 8 for s in p.strides) for p in pops)):
@@ -253,7 +255,9 @@ class Plan:
             *[r for lo, hi, *_ in walls for r in (lo, hi)])
         self._wT = (ctypes.c_double * (len(walls) or 1))(
             *[T for _, _, T, _ in walls])
-        self._clamp = geom.clamp_rows(walls)
+        self._pull = (ctypes.c_int64 * 6)(*[
+            v for (lo, hi), w in zip(geom.pull_ranges(walls, wrap), wrap)
+            for v in (lo, hi, w)])
 
         def direction(src, dst):
             return (ctypes.c_void_p(src.ctypes.data),
@@ -264,12 +268,13 @@ class Plan:
         # indexed by "prv is the second buffer", i.e. after an odd swap
         self._args = (direction(*pops), direction(*pops[::-1]))
 
-    def serves(self, prv, nxt, params, vs, walls):
+    def serves(self, prv, nxt, params, vs, walls, wrap=(False, False)):
         """True when prv and nxt are this plan's buffers, in either order,
-        and params, vs and walls are the objects it was built from."""
+        params, vs and walls are the objects it was built from, and wrap
+        equals its wrap."""
         a, b = self.buffers
         return (params is self.params and vs is self.vs
-                and walls is self.walls
+                and walls is self.walls and wrap == self.wrap
                 and ((prv.data is a and nxt.data is b)
                      or (prv.data is b and nxt.data is a)))
 
@@ -293,7 +298,7 @@ class Plan:
                 *[v for bounds in key for v in bounds])
         negatives = ctypes.c_int64()
         status = lib.tlb_fused(src, dst, strides, box, len(key), self._nwall,
-                               self._wrows, self._wT, *self._clamp,
+                               self._wrows, self._wT, self._pull,
                                self._model, ctypes.byref(negatives))
         return negatives.value if status == 0 else None
 

@@ -11,19 +11,19 @@ boundary site across the 3-deep halo.  Each worker builds a face table once,
 whose flat storage indices make every pack one gather and every unpack one
 scatter, for either axis.  The Y (non-contiguous) faces cover physical
 columns only and are exchanged before the X (contiguous) faces, which span
-the padded height, up to the outermost physical row at a wall (the kernel
-clamps pulls from beyond it); that order serves only to forward
-diagonal-neighbor data into the corner halo cells.  A face whose neighbours
-are the rank itself (X when the grid is one tile wide, Y on a periodic ring
-one tile high) is copied in place, with no message.  Tiles are stored
-structure-of-arrays.
+the rows the kernel reads (LatticeGeometry.clamp_rows); that order serves
+only to forward diagonal-neighbor data into the corner halo cells.  An axis
+whose neighbours on both sides are the rank itself (X when the grid is one
+tile wide, Y on a periodic ring one tile high) wraps: the kernel pulls
+across it from the tile itself, so its faces are neither copied nor sent.
+Tiles are stored structure-of-arrays.
 
 A step makes one kernel call per region group.  The staged schedule
 exchanges Y, then X, then runs the whole tile.  The overlapped schedule
 exchanges Y, posts the X sends, runs the bulk (full height, all but a
 max_hop-wide frame at each X edge) while they are in flight, receives X and
-runs both frames in one call; when no X face crosses ranks there is nothing
-in flight to overlap, and it steps as the staged schedule does, in one call.
+runs both frames in one call; when X wraps there is nothing in flight to
+overlap, and it steps as the staged schedule does, in one call.
 Each worker builds a native.Plan on its first step, so every call passes
 prebuilt kernel arguments; the kernel also returns the step's count of
 negative populations.
@@ -220,12 +220,14 @@ class RankWorker:
         self.wall_rows = wall_rows(self.geom, params,
                                    walls and tile.lowermost,
                                    walls and tile.uppermost)
+        # an axis wraps when the rank is its own neighbour on both sides
+        nb = tile.neighbors
+        self.wrap = tuple(nb[a] == nb[b] == tile.rank
+                          for a, b in (("left", "right"), ("down", "up")))
         self.faces = self._face_table()
         self.bulk, self.frames = self._regions()
         # Only an X exchange with another rank has anything to overlap.
-        self.overlap = schedule == "overlapped" and not all(
-            self._local(face) for face in self.faces.values()
-            if face.axis == 0)
+        self.overlap = schedule == "overlapped" and not self.wrap[0]
         self.plan = None       # native.Plan, built on the first step
         self.metrics = []
         self.snapshots = []
@@ -235,9 +237,9 @@ class RankWorker:
     def _face_table(self):
         """Build the four faces, Y before X; reject tiles too thin to
         exchange or to hold their wall rows.  Y faces span the physical
-        columns; X faces span the padded height up to the clamp rows, so on
-        a wall rank they stop at the outermost physical row, since the
-        kernel never reads the rows beyond a wall."""
+        columns; X faces span the rows the kernel reads: the physical rows
+        when Y wraps, up to the outermost physical row at a wall, else the
+        padded height.  A wrapped axis's faces are never exchanged."""
         g, t = self.geom, self.tile
         for field in (self.prv, self.nxt):
             if not np.may_share_memory(field.flat, field.data):
@@ -249,7 +251,7 @@ class RankWorker:
                 f"{WALL_ROWS} wall rows")
         pops = self.prv.pops
         strides = [s // pops.itemsize for s in pops.strides]   # (l, x, y)
-        lo, hi = g.clamp_rows(self.wall_rows)
+        lo, hi = g.clamp_rows(self.wall_rows, self.wrap[1])
         spans = (np.arange(lo, hi + 1), np.arange(g.Hx, g.Hx + g.Lx))
         faces = {}
         for (axis, sign), (to, frm) in _FACES.items():
@@ -294,31 +296,22 @@ class RankWorker:
     def unpack_y(self, f, sign, payload):
         self._unpack(f, 1, sign, payload)
 
-    def _local(self, face):
-        """True when both neighbours of the face are this rank."""
-        return face.dst == face.src == self.tile.rank
-
     def send(self, f, step, axis):
-        """Pack and post this rank's faces along axis; a face whose
-        neighbours are this rank is copied in place, with no message."""
-        pack, unpack = ((self.pack_y, self.unpack_y) if axis
-                        else (self.pack_x, self.unpack_x))
+        """Pack and post this rank's faces along axis, unless it wraps."""
+        pack = self.pack_y if axis else self.pack_x
         for face in self.faces.values():
-            if face.axis != axis or face.dst is None:
-                continue
-            if self._local(face):
-                unpack(f, face.sign, pack(f, face.sign))
-            else:
+            if (face.axis == axis and face.dst is not None
+                    and not self.wrap[axis]):
                 self.fabric.send(self.tile.rank, face.dst, face.tag, step,
                                  pack(f, face.sign))
 
     def recv(self, f, step, axis):
-        """Receive and unpack this rank's halos along axis from other
-        ranks."""
+        """Receive and unpack this rank's halos along axis, unless it
+        wraps."""
         unpack = self.unpack_y if axis else self.unpack_x
         for face in self.faces.values():
             if (face.axis == axis and face.src is not None
-                    and not self._local(face)):
+                    and not self.wrap[axis]):
                 unpack(f, face.sign, self.fabric.recv(
                     self.tile.rank, face.src, face.tag, step))
 
@@ -357,7 +350,7 @@ class RankWorker:
         prv, nxt = self.prv, self.nxt
         if self.plan is None:
             self.plan = native.Plan(prv, nxt, self.params, self.vs,
-                                    self.wall_rows)
+                                    self.wall_rows, self.wrap)
         if self.debug_poison:
             self._poison_halos(prv)
         t0 = time.perf_counter()
@@ -370,7 +363,7 @@ class RankWorker:
             t["t_comm_c"] = t2 - t1
             negatives = propagate_collide_fused(
                 prv, nxt, self.params, self.vs, None, self.wall_rows,
-                self.plan)
+                self.plan, self.wrap)
             t["t_bulk"] = time.perf_counter() - t2
             t["t_border"] = 0.0
         else:
@@ -382,7 +375,7 @@ class RankWorker:
             t["t_comm_c"] = t2 - t1
             negatives = propagate_collide_fused(
                 prv, nxt, self.params, self.vs, self.bulk, self.wall_rows,
-                self.plan)
+                self.plan, self.wrap)
             t3 = time.perf_counter()
             t["t_bulk"] = t3 - t2
             self.recv(prv, step_no, 0)
@@ -390,7 +383,7 @@ class RankWorker:
             t["t_comm_c"] += t4 - t3
             negatives += propagate_collide_fused(
                 prv, nxt, self.params, self.vs, self.frames, self.wall_rows,
-                self.plan)
+                self.plan, self.wrap)
             t["t_border"] = time.perf_counter() - t4
         t["negatives"] = negatives
         self.prv, self.nxt = swap_buffers(self.prv, self.nxt)

@@ -136,6 +136,69 @@ def test_thin_boxes_compiled_match_numpy_bitwise(compiled, monkeypatch, model,
         assert np.all(np.isfinite(nxt.pops[:, xs, ys])), name
 
 
+@pytest.mark.parametrize("wrap, walls", [
+    ((True, False), False), ((False, True), False), ((True, True), False),
+    ((True, False), True)], ids=["x", "y", "xy", "x-walls"])
+@pytest.mark.parametrize("path", ["native", "numpy"])
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_wrapped_pulls_equal_a_periodically_padded_tile(request, monkeypatch,
+                                                        model, path, wrap,
+                                                        walls):
+    # the halos of a wrapped axis are NaN, so every pull across it must read
+    # the tile itself; the result equals, byte for byte, the call without
+    # wrap on the same tile padded periodically.  Row runs wrap mid-run in
+    # boxes lower than THIN_ROWS, and column runs in every box that meets
+    # the Y ends.
+    if path == "native":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(native, "_lib", None)
+    vs = build_velocity_set(model)
+    params = PhysicsParams(tau=0.8, gx=2e-5, gy=-1e-4)
+    h = vs.max_hop
+    # name -> (Lx, Ly, box in physical offsets (x0, x1, y0, y1) or None for
+    # the whole tile)
+    tiles = {
+        "max_hop wide and high": (h, h, None),
+        "max_hop wide, 300 high": (h, 300, None),
+        "3 rows, thinner than THIN_ROWS": (40, 12, (0, 40, 4, 7)),
+        "7 rows against the bottom": (40, 12, (0, 40, 0, 7)),
+        "5 rows, 500 sites": (100, 20, (0, 100, 15, 20)),
+        "whole tile, 2000 sites": (100, 20, None),
+        "inner box": (40, 12, (5, 30, 2, 10)),
+    }
+    for name, (lx, ly, box) in tiles.items():
+        if walls and ly < 2 * 3:
+            continue
+        g = LatticeGeometry(lx, ly, 3, 3, vs.Q)
+        f = build_initial_state("random", lx, ly, vs, seed=lx + ly,
+                                amplitude=0.02)
+        padded, _ = allocate_field(g, vs)
+        padded.pops[...] = np.pad(f, ((0, 0), (3, 3), (3, 3)), mode="wrap")
+        rows = wall_rows(g, vs) if walls else ()
+        if walls:
+            for beyond in beyond_walls(padded):
+                beyond[...] = np.nan
+        tile, _ = allocate_field(g, vs)
+        tile.pops[...] = padded.pops
+        if wrap[0]:
+            tile.pops[:, :3] = tile.pops[:, 3 + lx:] = np.nan
+        if wrap[1]:
+            tile.pops[:, :, :3] = tile.pops[:, :, 3 + ly:] = np.nan
+        x0, x1, y0, y1 = box or (0, lx, 0, ly)
+        region = (slice(3 + x0, 3 + x1), slice(3 + y0, 3 + y1))
+        got, want = (type(tile)(g, "nxt") for _ in range(2))
+        if path == "native":
+            plan = native.Plan(tile, got, params, vs, rows, wrap)
+            assert plan.run(tile, got, [region]) is not None, name
+        else:
+            propagate_collide_fused(tile, got, params, vs, region, rows,
+                                    wrap=wrap)
+        propagate_collide_fused(padded, want, params, vs, region, rows)
+        assert same_bits(got.pops, want.pops), name
+        assert np.all(np.isfinite(got.pops[:, region[0], region[1]])), name
+
+
 @pytest.mark.parametrize("layout", ["soa", "aos"])
 @pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
 def test_region_list_equals_regions_one_at_a_time(compiled, model, layout):
