@@ -25,6 +25,16 @@
    numpy computes them.  On D2Q37 tiles this costs 14-17% less per site
    than one equilibrium per population (BENCH_collide_pairs.json).
 
+   One pair loop, pair_loop, serves the wall rows, the collision and
+   tlb_equilibrium: a flag picks writing the equilibria or relaxing f toward
+   them, and hermite_inputs gives all three their v, theta and s.  The
+   order, the flag and the inputs' stride are constants at every call, so
+   each use compiles to its own loop.  Read at run time, the order made
+   every tile 1.6-2.7x slower per site; the wall rows read their zero
+   velocity and Twall as one set for the whole segment, since per-site
+   copies made rt37-halo's tile 3% slower, faster in 2 of 40 reps
+   (BENCH_pair_loop.json).
+
    Each region is split at the wall boundaries into segments, and the sites
    of a segment are taken in blocks of BLOCK: x-major, y-minor, or, in a
    segment lower than THIN_ROWS, row-major.  A block is cut into runs along
@@ -86,7 +96,7 @@ typedef struct {
 typedef struct {
     double *f;               /* Q x BLOCK gathered populations */
     double *rho, *mx, *my, *e2, *vx, *vy, *theta, *s;
-    double *ex, *ey, *q;     /* per population: c / cs and |c / cs|^2 */
+    double *hop;             /* unit_hops: c / cs and |c / cs|^2 */
     double *Tw;              /* temperatures of the walls covering a segment */
     double cs;
 } tlb_work;
@@ -134,14 +144,94 @@ feq_pair(const int order, double wl, double wb, double ex, double ey,
     *eqb = wb * rho * polyb;
 }
 
-/* Per population: ex = cx / cs, ey = cy / cs and q = ex^2 + ey^2. */
-static void unit_hops(const tlb_model *m, double cs, double *ex, double *ey,
-                      double *q)
+/* Per population l: hop[3l], hop[3l+1] = c / cs and hop[3l+2] = |c / cs|^2. */
+static void unit_hops(const tlb_model *m, double cs, double *hop)
 {
     for (int l = 0; l < m->Q; l++) {
-        ex[l] = (double)m->c[2 * l] / cs;
-        ey[l] = (double)m->c[2 * l + 1] / cs;
-        q[l] = ex[l] * ex[l] + ey[l] * ey[l];
+        const double ex = (double)m->c[2 * l] / cs;
+        const double ey = (double)m->c[2 * l + 1] / cs;
+        hop[3 * l] = ex;
+        hop[3 * l + 1] = ey;
+        hop[3 * l + 2] = ex * ex + ey * ey;
+    }
+}
+
+/* The Hermite inputs of kernels.equilibrium at velocity (ux, uy) and
+   temperature T: v = u / cs, theta = T / cs2 - 1 and s = |v|^2. */
+static inline void hermite_inputs(double ux, double uy, double T, double cs,
+                                  double cs2, double *vx, double *vy,
+                                  double *theta, double *s)
+{
+    *vx = ux / cs;
+    *vy = uy / cs;
+    *theta = T / cs2 - 1.0;
+    *s = *vx * *vx + *vy * *vy;
+}
+
+/* The one loop over the lead populations l <= opp[l] (see the top of the
+   file): for each pair and each of n sites j, the equilibria at density
+   rho[j] and Hermite inputs vx, vy, theta and s at index j * vstride,
+   where vstride 0 gives all sites one set (the wall rows).  They are
+   written to f[l * lstride + j] when relax is 0; when it is 1, f is
+   relaxed toward them at rate m->omega (BGK).  order, relax and vstride
+   are constants at every call. */
+static inline __attribute__((always_inline)) void
+pair_loop(const int order, const int relax, const int64_t vstride,
+          const tlb_model *m, const double *hop, int64_t n,
+          const double *restrict rho, const double *restrict vx,
+          const double *restrict vy, const double *restrict theta,
+          const double *restrict s, double *f, int64_t lstride)
+{
+    const double omega = relax ? m->omega : 0.0;
+    for (int l = 0; l < m->Q; l++) {
+        const int b = m->opp[l];
+        if (b < l)
+            continue;
+        double *restrict fl = f + (int64_t)l * lstride;
+        const double wl = m->w[l], ex = hop[3 * l], ey = hop[3 * l + 1];
+        const double q = hop[3 * l + 2];
+        if (b == l) {
+            for (int64_t j = 0; j < n; j++) {
+                double eq, unused;
+                feq_pair(order, wl, wl, ex, ey, q, rho[j], vx[j * vstride],
+                         vy[j * vstride], theta[j * vstride], s[j * vstride], &eq,
+                         &unused);
+                fl[j] = relax ? fl[j] - omega * (fl[j] - eq) : eq;
+            }
+        } else {
+            double *restrict fb = f + (int64_t)b * lstride;
+            const double wb = m->w[b];
+            for (int64_t j = 0; j < n; j++) {
+                double eq, eqb;
+                feq_pair(order, wl, wb, ex, ey, q, rho[j], vx[j * vstride],
+                         vy[j * vstride], theta[j * vstride], s[j * vstride], &eq,
+                         &eqb);
+                fl[j] = relax ? fl[j] - omega * (fl[j] - eq) : eq;
+                fb[j] = relax ? fb[j] - omega * (fb[j] - eqb) : eqb;
+            }
+        }
+    }
+}
+
+/* pair_loop at m->order, which the caller guarantees is 2, 3 or 4. */
+static inline __attribute__((always_inline)) void
+equilibria(const int relax, const int64_t vstride, const tlb_model *m,
+           const double *hop, int64_t n, const double *rho, const double *vx,
+           const double *vy, const double *theta, const double *s, double *f,
+           int64_t lstride)
+{
+    switch (m->order) {
+    case 2:
+        pair_loop(2, relax, vstride, m, hop, n, rho, vx, vy, theta, s, f,
+                  lstride);
+        break;
+    case 3:
+        pair_loop(3, relax, vstride, m, hop, n, rho, vx, vy, theta, s, f,
+                  lstride);
+        break;
+    default:
+        pair_loop(4, relax, vstride, m, hop, n, rho, vx, vy, theta, s, f,
+                  lstride);
     }
 }
 
@@ -180,51 +270,28 @@ moment_sums(const tlb_model *m, const double *f, int64_t lstride,
 
 /* One block: wall rewrite (kernels._wall_equilibrium, once per covering
    wall, in order), then moments, force shift, equilibrium and BGK. */
-static inline __attribute__((always_inline)) int
-relax_block(const int order, const tlb_model *m, const tlb_work *W,
-            int64_t n, int nw)
+static int relax_block(const tlb_model *m, const tlb_work *W, int64_t n,
+                       int nw)
 {
-    const int Q = m->Q;
     const double cs = W->cs, cs2 = m->cs2;
-    double *restrict f = W->f;
     double *restrict rho = W->rho, *restrict mx = W->mx, *restrict my = W->my;
     double *restrict e2 = W->e2, *restrict vx = W->vx, *restrict vy = W->vy;
     double *restrict theta = W->theta, *restrict s = W->s;
 
     for (int k = 0; k < nw; k++) {
-        const double Tw = W->Tw[k];
-        int bad = !(Tw > 0.0);
-        moment_sums(m, f, BLOCK, 1, n, rho, mx, my, e2);
+        int bad = !(W->Tw[k] > 0.0);
+        moment_sums(m, W->f, BLOCK, 1, n, rho, mx, my, e2);
         for (int64_t j = 0; j < n; j++)
             bad |= !(rho[j] > 0.0);
         if (bad)
             return TLB_BAD_WALL;
-        const double vx0 = 0.0 / cs, vy0 = 0.0 / cs;
-        const double th0 = Tw / cs2 - 1.0;
-        const double s0 = vx0 * vx0 + vy0 * vy0;
-        for (int l = 0; l < Q; l++) {
-            const int b = m->opp[l];
-            if (b < l)
-                continue;
-            double *restrict fl = f + (int64_t)l * BLOCK;
-            const double wl = m->w[l], ex = W->ex[l], ey = W->ey[l], q = W->q[l];
-            if (b == l) {
-                for (int64_t j = 0; j < n; j++) {
-                    double unused;
-                    feq_pair(order, wl, wl, ex, ey, q, rho[j], vx0, vy0, th0,
-                             s0, fl + j, &unused);
-                }
-            } else {
-                double *restrict fb = f + (int64_t)b * BLOCK;
-                const double wb = m->w[b];
-                for (int64_t j = 0; j < n; j++)
-                    feq_pair(order, wl, wb, ex, ey, q, rho[j], vx0, vy0, th0,
-                             s0, fl + j, fb + j);
-            }
-        }
+        double vx0, vy0, th0, s0;
+        hermite_inputs(0.0, 0.0, W->Tw[k], cs, cs2, &vx0, &vy0, &th0, &s0);
+        equilibria(0, 0, m, W->hop, n, rho, &vx0, &vy0, &th0, &s0, W->f,
+                   BLOCK);
     }
 
-    moment_sums(m, f, BLOCK, 1, n, rho, mx, my, e2);
+    moment_sums(m, W->f, BLOCK, 1, n, rho, mx, my, e2);
     int bad = 0;
     for (int64_t j = 0; j < n; j++)
         bad |= !(rho[j] > 0.0);
@@ -234,44 +301,14 @@ relax_block(const int order, const tlb_model *m, const tlb_work *W,
         const double ux = mx[j] / rho[j];
         const double uy = my[j] / rho[j];
         const double T = (e2[j] - rho[j] * (ux * ux + uy * uy)) / (2.0 * rho[j]);
-        const double ub = ux + m->shift_u;
-        const double vb = uy + m->shift_v;
         const double Tb = T - m->shift_T;
         bad |= !(Tb > 0.0);
-        vx[j] = ub / cs;
-        vy[j] = vb / cs;
-        theta[j] = Tb / cs2 - 1.0;
-        s[j] = vx[j] * vx[j] + vy[j] * vy[j];
+        hermite_inputs(ux + m->shift_u, uy + m->shift_v, Tb, cs, cs2, vx + j,
+                       vy + j, theta + j, s + j);
     }
     if (bad)
         return TLB_BAD_TEMPERATURE;
-
-    const double omega = m->omega;
-    for (int l = 0; l < Q; l++) {
-        const int b = m->opp[l];
-        if (b < l)
-            continue;
-        double *restrict fl = f + (int64_t)l * BLOCK;
-        const double wl = m->w[l], ex = W->ex[l], ey = W->ey[l], q = W->q[l];
-        if (b == l) {
-            for (int64_t j = 0; j < n; j++) {
-                double eq, unused;
-                feq_pair(order, wl, wl, ex, ey, q, rho[j], vx[j], vy[j],
-                         theta[j], s[j], &eq, &unused);
-                fl[j] = fl[j] - omega * (fl[j] - eq);
-            }
-        } else {
-            double *restrict fb = f + (int64_t)b * BLOCK;
-            const double wb = m->w[b];
-            for (int64_t j = 0; j < n; j++) {
-                double eq, eqb;
-                feq_pair(order, wl, wb, ex, ey, q, rho[j], vx[j], vy[j],
-                         theta[j], s[j], &eq, &eqb);
-                fl[j] = fl[j] - omega * (fl[j] - eq);
-                fb[j] = fb[j] - omega * (fb[j] - eqb);
-            }
-        }
-    }
+    equilibria(1, 1, m, W->hop, n, rho, vx, vy, theta, s, W->f, BLOCK);
     return TLB_OK;
 }
 
@@ -381,18 +418,6 @@ static int64_t scatter(double *dst, const int64_t *st, int Q, int rows,
     return negatives;
 }
 
-static int relax(const tlb_model *m, const tlb_work *W, int64_t n, int nw)
-{
-    switch (m->order) {
-    case 2:
-        return relax_block(2, m, W, n, nw);
-    case 3:
-        return relax_block(3, m, W, n, nw);
-    default:
-        return relax_block(4, m, W, n, nw);
-    }
-}
-
 /* Fused step over nbox region boxes, box k = boxes[4k .. 4k+3] =
    (x0, x1, y0, y1) in padded coordinates.
 
@@ -425,12 +450,10 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
     W.vy = W.vx + BLOCK;
     W.theta = W.vy + BLOCK;
     W.s = W.theta + BLOCK;
-    W.ex = W.s + BLOCK;
-    W.ey = W.ex + Q;
-    W.q = W.ey + Q;
-    W.Tw = W.q + Q;
+    W.hop = W.s + BLOCK;
+    W.Tw = W.hop + 3 * Q;
     W.cs = sqrt(m->cs2);
-    unit_hops(m, W.cs, W.ex, W.ey, W.q);
+    unit_hops(m, W.cs, W.hop);
 
     int64_t runs[3 * BLOCK];
     int status = TLB_OK;
@@ -458,7 +481,7 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
                 const int nrun = block_runs(rows, x0, ya, nx, ny, first, n,
                                             runs);
                 gather(src, strides, m->c, Q, rows, runs, nrun, pull, W.f);
-                status = relax(m, &W, n, nw);
+                status = relax_block(m, &W, n, nw);
                 if (status != TLB_OK)
                     break;
                 neg += scatter(dst, strides + 3, Q, rows, runs, nrun, W.f);
@@ -470,44 +493,6 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
     return status;
 }
 
-/* Sites first .. first+nb of tlb_equilibrium, as one block. */
-static inline __attribute__((always_inline)) void
-equilibrium_block(const int order, const tlb_model *m, const double *ex,
-                  const double *ey, const double *q, double cs,
-                  const double *rho, const double *ux, const double *uy,
-                  const double *T, int64_t n, int64_t first, int64_t nb,
-                  double *out)
-{
-    double vx[BLOCK], vy[BLOCK], theta[BLOCK], s[BLOCK];
-    for (int64_t j = 0; j < nb; j++) {
-        vx[j] = ux[first + j] / cs;
-        vy[j] = uy[first + j] / cs;
-        theta[j] = T[first + j] / m->cs2 - 1.0;
-        s[j] = vx[j] * vx[j] + vy[j] * vy[j];
-    }
-    const double *restrict r = rho + first;
-    for (int l = 0; l < m->Q; l++) {
-        const int b = m->opp[l];
-        if (b < l)
-            continue;
-        double *restrict ol = out + (int64_t)l * n + first;
-        const double wl = m->w[l], exl = ex[l], eyl = ey[l], ql = q[l];
-        if (b == l) {
-            for (int64_t j = 0; j < nb; j++) {
-                double unused;
-                feq_pair(order, wl, wl, exl, eyl, ql, r[j], vx[j], vy[j],
-                         theta[j], s[j], ol + j, &unused);
-            }
-        } else {
-            double *restrict ob = out + (int64_t)b * n + first;
-            const double wb = m->w[b];
-            for (int64_t j = 0; j < nb; j++)
-                feq_pair(order, wl, wb, exl, eyl, ql, r[j], vx[j], vy[j],
-                         theta[j], s[j], ol + j, ob + j);
-        }
-    }
-}
-
 /* kernels.equilibrium of n sites: out[l * n + j] = f^eq_l(rho[j], ux[j],
    uy[j], T[j]) at m->order, which the caller guarantees is 2, 3 or 4.  Only
    Q, order, c, w, opp and cs2 of m are read. */
@@ -515,24 +500,16 @@ void tlb_equilibrium(const double *rho, const double *ux, const double *uy,
                      const double *T, int64_t n, const tlb_model *m,
                      double *out)
 {
-    double ex[m->Q], ey[m->Q], q[m->Q];
+    double hop[3 * m->Q], vx[BLOCK], vy[BLOCK], theta[BLOCK], s[BLOCK];
     const double cs = sqrt(m->cs2);
-    unit_hops(m, cs, ex, ey, q);
+    unit_hops(m, cs, hop);
     for (int64_t first = 0; first < n; first += BLOCK) {
         const int64_t nb = n - first < BLOCK ? n - first : BLOCK;
-        switch (m->order) {
-        case 2:
-            equilibrium_block(2, m, ex, ey, q, cs, rho, ux, uy, T, n, first,
-                              nb, out);
-            break;
-        case 3:
-            equilibrium_block(3, m, ex, ey, q, cs, rho, ux, uy, T, n, first,
-                              nb, out);
-            break;
-        default:
-            equilibrium_block(4, m, ex, ey, q, cs, rho, ux, uy, T, n, first,
-                              nb, out);
-        }
+        for (int64_t j = 0; j < nb; j++)
+            hermite_inputs(ux[first + j], uy[first + j], T[first + j], cs,
+                           m->cs2, vx + j, vy + j, theta + j, s + j);
+        equilibria(0, 1, m, hop, nb, rho + first, vx, vy, theta, s,
+                   out + first, n);
     }
 }
 
@@ -775,15 +752,6 @@ static int put_digits(char *p, uint64_t v)
     return n;
 }
 
-static char *put_int(char *p, int64_t v)
-{
-    if (v < 0) {
-        *p++ = '-';
-        return p + put_digits(p, -(uint64_t)v);
-    }
-    return p + put_digits(p, (uint64_t)v);
-}
-
 /* repr(v) at p, at most 24 bytes; returns the end.  Positional notation
    when the decimal exponent of the leading digit is in [-4, 16), with ".0"
    on integral values; otherwise d[.ddd]e+XX with at least two exponent
@@ -858,33 +826,31 @@ static char *put_repr(char *p, double v, const uint64_t *pow5)
     return p + put_digits(p, (uint64_t)e);
 }
 
-/* The rows "x,y,rho,ux,uy,T\r\n" of the sites x0 <= x < x1, 0 <= y < Ly of
+/* The rows "x,y,rho,ux,uy,T\r\n" of the sites 0 <= y < Ly at x >= 0 of
    (Lx, Ly) C-contiguous fields, written as csv.writer writes them with each
-   value as its repr.  out must hold (x1 - x0) * Ly * 143 bytes: two integers
-   of at most 20 bytes, four floats of at most 24, five commas and "\r\n".
-   Returns the number of bytes written. */
+   value as its repr.  out must hold Ly * 143 bytes: two integers of at most
+   20 bytes, four floats of at most 24, five commas and "\r\n".  Returns the
+   number of bytes written. */
 int64_t tlb_csv_rows(const double *rho, const double *ux, const double *uy,
-                     const double *T, int64_t Ly, int64_t x0, int64_t x1,
+                     const double *T, int64_t Ly, int64_t x,
                      const uint64_t *pow5, char *out)
 {
     char *p = out;
-    for (int64_t x = x0; x < x1; x++) {
-        for (int64_t y = 0; y < Ly; y++) {
-            const int64_t j = x * Ly + y;
-            p = put_int(p, x);
-            *p++ = ',';
-            p = put_int(p, y);
-            *p++ = ',';
-            p = put_repr(p, rho[j], pow5);
-            *p++ = ',';
-            p = put_repr(p, ux[j], pow5);
-            *p++ = ',';
-            p = put_repr(p, uy[j], pow5);
-            *p++ = ',';
-            p = put_repr(p, T[j], pow5);
-            *p++ = '\r';
-            *p++ = '\n';
-        }
+    for (int64_t y = 0; y < Ly; y++) {
+        const int64_t j = x * Ly + y;
+        p += put_digits(p, (uint64_t)x);
+        *p++ = ',';
+        p += put_digits(p, (uint64_t)y);
+        *p++ = ',';
+        p = put_repr(p, rho[j], pow5);
+        *p++ = ',';
+        p = put_repr(p, ux[j], pow5);
+        *p++ = ',';
+        p = put_repr(p, uy[j], pow5);
+        *p++ = ',';
+        p = put_repr(p, T[j], pow5);
+        *p++ = '\r';
+        *p++ = '\n';
     }
     return p - out;
 }

@@ -114,7 +114,7 @@ def _build_and_load():
                                 model, ptr, ptr, ptr, ptr]
     lib.tlb_moments.restype = ctypes.c_int
     lib.tlb_csv_rows.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64,
-                                 ctypes.c_int64, ctypes.c_int64, ptr, ptr]
+                                 ctypes.c_int64, ptr, ptr]
     lib.tlb_csv_rows.restype = ctypes.c_int64
     return lib
 
@@ -346,6 +346,6 @@ def csv_rows(fields):
     tables, out = _POW5.ctypes.data, buf.ctypes.data
 
     def rows(x):
-        return view[:lib.tlb_csv_rows(*data, Ly, x, x + 1, tables, out)]
+        return view[:lib.tlb_csv_rows(*data, Ly, x, tables, out)]
     rows.fields = fields    # keeps the arrays behind data alive
     return rows

@@ -185,12 +185,12 @@ def brent_bound(w_per_site, N, Np):
     return w_per_site * (1.0 + (N - 1.0) / Np)
 
 
-def scaling_curve(inp_base: CostModelInput, Np_list, overlap_variants=True):
+def scaling_curve(inp_base: CostModelInput, Np_list):
     """Model predictions for every tiling of each Np.
 
     Returns rows (Np, tiling, nx, ny, T_total, Np*T, scale_violation).  2-D
-    rows are emitted for every factor pair; overlap variants use the formulas
-    above (2-D overlap only for square lattices).
+    rows are emitted for every factor pair, then the overlap variants from
+    the formulas above (2-D overlap only for square lattices).
     """
     rows = []
     for Np in Np_list:
@@ -201,12 +201,11 @@ def scaling_curve(inp_base: CostModelInput, Np_list, overlap_variants=True):
         for nx, ny in factor_pairs(Np):
             p = predict_2d(inp, grid=(nx, ny))
             rows.append((Np, "2d", nx, ny, p.T_total, Np * p.T_total, p.scale_violation))
-        if overlap_variants:
-            p = predict_1d_overlap(inp)
-            rows.append((Np, "1d_overlap", Np, 1, p.T_total, Np * p.T_total,
-                         p.scale_violation))
-            if inp.Lx == inp.Ly:
-                p = predict_2d_overlap(inp)
-                rows.append((Np, "2d_overlap", p.grid[0], p.grid[1], p.T_total,
-                             Np * p.T_total, p.scale_violation))
+        p = predict_1d_overlap(inp)
+        rows.append((Np, "1d_overlap", Np, 1, p.T_total, Np * p.T_total,
+                     p.scale_violation))
+        if inp.Lx == inp.Ly:
+            p = predict_2d_overlap(inp)
+            rows.append((Np, "2d_overlap", p.grid[0], p.grid[1], p.T_total,
+                         Np * p.T_total, p.scale_violation))
     return rows

@@ -346,7 +346,7 @@ class RankWorker:
                                        (slice(x_b, x_hi), ys)]
 
     def step(self, step_no):
-        t = {}
+        t = {"step": step_no, "rank": self.tile.rank}
         prv, nxt = self.prv, self.nxt
         if self.plan is None:
             self.plan = native.Plan(prv, nxt, self.params, self.vs,

@@ -169,10 +169,7 @@ def run(cfg: SimConfig) -> RunResult:
         t = w.tile
         final[:, t.x0:t.x0 + t.Lx, t.y0:t.y0 + t.Ly] = w.physical_block()
 
-    metrics = []
-    for w in workers:
-        for s, row in enumerate(w.metrics):
-            metrics.append({"step": s, "rank": w.tile.rank, **row})
+    metrics = [row for w in workers for row in w.metrics]
 
     snapshots = _stitch_snapshots(workers, cfg.Lx, cfg.Ly)
     macro = _macro_of(final, vs)

@@ -265,6 +265,26 @@ def test_frozen_temperature_same_error_both_paths(monkeypatch):
     raised_on_both_paths(monkeypatch, DomainError, prv, params, vs, ())
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, "negative density"])
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_bad_wall_same_error_both_paths(monkeypatch, model, bad):
+    vs = build_velocity_set(model)
+    g, prv = make_state(vs, "soa", "near-equilibrium")
+    (lo, hi, Twall, side), top = wall_rows(g, vs)
+    if bad == "negative density":
+        # every pull of the wall sites x0+5..6, y0..y0+2 lands in the flipped
+        # patch, the ones from beyond the wall through the clamp
+        prv.pops[:, g.Hx + 2:g.Hx + 10, g.Hy:g.Hy + 6] *= -1.0
+    else:
+        Twall = bad
+    # no force, so no temperature shift: at Twall 0 the collision's own
+    # check sees the wall equilibrium's rounded temperature, which can be
+    # > 0, and only the wall check catches it
+    raised_on_both_paths(monkeypatch, DomainError, prv,
+                         PhysicsParams(tau=0.8), vs,
+                         ((lo, hi, Twall, side), top))
+
+
 def wall_run_config(Np, tiling, schedule):
     return SimConfig(Lx=32, Ly=32, model="D2Q37", Np=Np, tiling=tiling,
                      schedule=schedule, steps=5, init="rayleigh-taylor",
