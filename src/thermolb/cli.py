@@ -19,13 +19,18 @@ from .sim import SimConfig, run
 
 
 def _parse_tiling(text, Np):
+    """(tiling, Np): '1d' takes Np (None: 1); NXxNY sets Np, and a given Np
+    other than NX*NY is a configuration error."""
     if text in (None, "1d"):
-        return "1d", Np
+        return "1d", 1 if Np is None else Np
     try:
         nx, ny = (int(p) for p in str(text).split("x"))
     except ValueError:
         raise ConfigurationError(
             f"tiling must be '1d' or 'NXxNY', got {text!r}") from None
+    if Np is not None and Np != nx * ny:
+        raise ConfigurationError(
+            f"np={Np} does not match tiling {text} ({nx * ny} ranks)")
     return (nx, ny), nx * ny
 
 
@@ -88,7 +93,7 @@ def cmd_simulate(args):
             "snapshot_every", "outdir", "tdp_watts", "walls", "init_kwargs"]
     cfg = _merge(config, args, keys)
     Lx, Ly = _extents(cfg)
-    Np = _value(cfg, "np", int, 1)
+    Np = None if cfg.get("np") is None else _value(cfg, "np", int)
     tiling, Np = _parse_tiling(cfg.get("tiling"), Np)
     vsname = cfg.get("model", "D2Q37")
     walls = _value(cfg, "walls", boolean, True)

@@ -150,6 +150,14 @@ def swap_buffers(prv: PopulationField, nxt: PopulationField):
     return nxt, prv
 
 
+def same_bits(a, b):
+    """Bit equality: one dtype, one shape, the same bytes.  Unlike
+    np.array_equal it tells -0.0 from +0.0 and matches equal NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 @dataclass
 class MacroFields:
     """Per-site density, velocity and temperature over the physical region."""

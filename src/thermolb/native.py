@@ -228,7 +228,7 @@ class Plan:
     each axis's pull range and wrap, a cache of box arrays keyed by region
     bounds, and a reference to every array those point into.  It serves
     only the buffers, params, velocity set, walls and wrap it was built
-    from (see serves); a rank builds one on its first step and passes it to
+    from (see serves); a rank builds one when it is built and passes it to
     every kernel call.
     """
 

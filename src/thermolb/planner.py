@@ -76,9 +76,11 @@ class Prediction:
     scale_violation: float
 
 
-def _predict(inp: CostModelInput, T_C, grid):
+def _predict(inp: CostModelInput, T_C, grid, T=None):
+    """The prediction for T_C and a total T, by default T_P + T_C."""
     T_P = inp.beta * inp.N / inp.Np
-    T = T_P + T_C
+    if T is None:
+        T = T_P + T_C
     return Prediction(T, T_C, T_P, grid, T * inp.Np / (inp.beta * inp.N))
 
 
@@ -153,8 +155,7 @@ def predict_1d_overlap(inp: CostModelInput):
     brace = max(1.0 - border, comm) + border
     T = inp.beta * inp.N / inp.Np * brace
     T_C = inp.beta * inp.N / inp.Np * comm
-    return Prediction(T, T_C, inp.beta * inp.N / inp.Np, (inp.Np, 1),
-                      T * inp.Np / (inp.beta * inp.N))
+    return _predict(inp, T_C, (inp.Np, 1), T)
 
 
 def predict_2d_overlap(inp: CostModelInput):
@@ -174,8 +175,7 @@ def predict_2d_overlap(inp: CostModelInput):
     brace = max(1.0 - border, comm_y) + comm_x + border
     T = inp.beta * inp.N / inp.Np * brace
     T_C = inp.beta * inp.N / inp.Np * (comm_x + comm_y)
-    return Prediction(T, T_C, inp.beta * inp.N / inp.Np, (r, r),
-                      T * inp.Np / (inp.beta * inp.N))
+    return _predict(inp, T_C, (r, r), T)
 
 
 def brent_bound(w_per_site, N, Np):

@@ -18,15 +18,16 @@ tile wide, Y on a periodic ring one tile high) wraps: the kernel pulls
 across it from the tile itself, so its faces are neither copied nor sent.
 Tiles are stored structure-of-arrays.
 
-A step makes one kernel call per region group.  The staged schedule
-exchanges Y, then X, then runs the whole tile.  The overlapped schedule
-exchanges Y, posts the X sends, runs the bulk (full height, all but a
-max_hop-wide frame at each X edge) while they are in flight, receives X and
-runs both frames in one call; when X wraps there is nothing in flight to
-overlap, and it steps as the staged schedule does, in one call.
-Each worker builds a native.Plan on its first step, so every call passes
-prebuilt kernel arguments; the kernel also returns the step's count of
-negative populations.
+A step is one sequence for both schedules: exchange Y, post the X sends,
+then make one kernel call per region group, receiving X before the group
+that first reads the X halos.  The staged schedule has one group, the whole
+tile, after the X receive.  The overlapped schedule runs the bulk (full
+height, all but a max_hop-wide frame at each X edge) while the X sends are in
+flight, receives X and runs both frames in one call; when X wraps there is
+nothing in flight to overlap, and it steps as the staged schedule does.
+Each worker fixes its groups and builds its native.Plan when it is built, so
+every call passes prebuilt kernel arguments; the kernel also returns the
+step's count of negative populations.
 """
 
 import queue
@@ -226,9 +227,15 @@ class RankWorker:
                           for a, b in (("left", "right"), ("down", "up")))
         self.faces = self._face_table()
         self.bulk, self.frames = self._regions()
-        # Only an X exchange with another rank has anything to overlap.
-        self.overlap = schedule == "overlapped" and not self.wrap[0]
-        self.plan = None       # native.Plan, built on the first step
+        # (receive X first, metric, region) per kernel call.  Only an X
+        # exchange with another rank has anything to overlap: the bulk runs
+        # while the X faces are in flight, the frames once they are in.
+        overlap = schedule == "overlapped" and not self.wrap[0]
+        self.groups = (((False, "t_bulk", self.bulk),
+                        (True, "t_border", self.frames)) if overlap
+                       else ((True, "t_bulk", None),))
+        self.plan = native.Plan(self.prv, self.nxt, params, vs,
+                                self.wall_rows, self.wrap)
         self.metrics = []
         self.snapshots = []
 
@@ -346,46 +353,25 @@ class RankWorker:
                                        (slice(x_b, x_hi), ys)]
 
     def step(self, step_no):
-        t = {"step": step_no, "rank": self.tile.rank}
         prv, nxt = self.prv, self.nxt
-        if self.plan is None:
-            self.plan = native.Plan(prv, nxt, self.params, self.vs,
-                                    self.wall_rows, self.wrap)
         if self.debug_poison:
             self._poison_halos(prv)
         t0 = time.perf_counter()
         self.exchange(prv, step_no, 1)
         t1 = time.perf_counter()
-        t["t_comm_nc"] = t1 - t0
-        if not self.overlap:
-            self.exchange(prv, step_no, 0)
+        t = {"step": step_no, "rank": self.tile.rank, "t_comm_nc": t1 - t0,
+             "t_comm_c": 0.0, "t_border": 0.0, "negatives": 0}
+        self.send(prv, step_no, 0)
+        for recv_x, key, region in self.groups:
+            if recv_x:
+                self.recv(prv, step_no, 0)
             t2 = time.perf_counter()
-            t["t_comm_c"] = t2 - t1
-            negatives = propagate_collide_fused(
-                prv, nxt, self.params, self.vs, None, self.wall_rows,
+            t["t_comm_c"] += t2 - t1
+            t["negatives"] += propagate_collide_fused(
+                prv, nxt, self.params, self.vs, region, self.wall_rows,
                 self.plan, self.wrap)
-            t["t_bulk"] = time.perf_counter() - t2
-            t["t_border"] = 0.0
-        else:
-            # Post the contiguous-halo sends, run the fused bulk while the
-            # transfers are in flight, then finish both border frames in
-            # one call.
-            self.send(prv, step_no, 0)
-            t2 = time.perf_counter()
-            t["t_comm_c"] = t2 - t1
-            negatives = propagate_collide_fused(
-                prv, nxt, self.params, self.vs, self.bulk, self.wall_rows,
-                self.plan, self.wrap)
-            t3 = time.perf_counter()
-            t["t_bulk"] = t3 - t2
-            self.recv(prv, step_no, 0)
-            t4 = time.perf_counter()
-            t["t_comm_c"] += t4 - t3
-            negatives += propagate_collide_fused(
-                prv, nxt, self.params, self.vs, self.frames, self.wall_rows,
-                self.plan, self.wrap)
-            t["t_border"] = time.perf_counter() - t4
-        t["negatives"] = negatives
+            t1 = time.perf_counter()
+            t[key] = t1 - t2
         self.prv, self.nxt = swap_buffers(self.prv, self.nxt)
         self.metrics.append(t)
 

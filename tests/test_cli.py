@@ -174,6 +174,34 @@ def test_simulate_malformed_tiling_is_config_error(tmp_path, capsys, tiling):
     assert "tiling must be '1d' or 'NXxNY'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_np_not_matching_the_tiling_is_config_error(
+        tmp_path, capsys, monkeypatch, source):
+    # a given np that is not NX*NY names both values and runs nothing
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran"))
+    argv = ["simulate", "--lx", "16", "--ly", "16", "--tiling", "2x2",
+            "--steps", "1", "--outdir", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--np", "3"]
+    else:
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text("np: 3\n")
+        argv += ["--config", str(cfgfile)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "np=3" in err and "2x2" in err
+
+
+@pytest.mark.parametrize("np_args", [[], ["--np", "4"]],
+                         ids=["tiling-only", "np-matching"])
+def test_simulate_tiling_sets_the_rank_count(tmp_path, np_args):
+    out = tmp_path / "o"
+    assert main(["simulate", "--lx", "16", "--ly", "16", "--tiling", "2x2",
+                 "--steps", "1", "--outdir", str(out), *np_args]) == 0
+    rows = read_csv(out / "metrics.csv")[1:]
+    assert sorted(int(r[1]) for r in rows) == [0, 1, 2, 3]
+
+
 def test_unexpected_error_in_run_is_not_a_config_error(tmp_path, capsys,
                                                        monkeypatch):
     # an internal bug (here a KeyError inside run) exits 3 with its

@@ -15,18 +15,13 @@ from thermolb import (LatticeGeometry, PhysicsParams, SimConfig,
                       propagate_collide_fused, run)
 from thermolb import equilibrium, kernels, moments, native, sim
 from thermolb.errors import DegenerateStateError, DomainError, ThermoLBError
+from thermolb.geometry import same_bits
 from thermolb.init import PRESETS, build_initial_state
 from conftest import beyond_walls, periodic_fill
 
 # 480 physical sites: the whole tile is longer than the kernel's 256-site
 # block, and neither extent is a multiple of it.
 LX, LY = 24, 20
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and a.tobytes() == b.tobytes())
 
 
 def make_state(vs, layout, kind, seed=7):
@@ -552,7 +547,7 @@ def test_degenerate_inputs_keep_their_errors(compiled, monkeypatch, d2q37):
 def test_step_makes_one_call_per_region_group(compiled, monkeypatch,
                                               schedule):
     # staged: one compiled call; overlapped: the bulk, then both frames;
-    # every call through the plan the rank built on its first step
+    # every call through the one plan each rank built with itself
     calls, plans = [], []
     plan_init, plan_run = native.Plan.__init__, native.Plan.run
 

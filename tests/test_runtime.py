@@ -12,6 +12,7 @@ from thermolb.errors import (ConfigurationError, DeadlockError,
                              DegenerateStateError, PeerAbortedError,
                              ProtocolError)
 from thermolb import native
+from thermolb.geometry import same_bits
 from thermolb.runtime import DEFAULT_HALO, Fabric, boundary_bytes_per_site
 
 
@@ -346,7 +347,7 @@ def test_staged_equals_overlapped_bitwise():
               init_kwargs={"seed": 3})
     a = run(SimConfig(schedule="staged", **kw))
     b = run(SimConfig(schedule="overlapped", **kw))
-    assert np.array_equal(a.populations, b.populations)
+    assert same_bits(a.populations, b.populations)
 
 
 def test_rank_count_invariance_bitwise():
@@ -356,8 +357,8 @@ def test_rank_count_invariance_bitwise():
     one = run(SimConfig(Np=1, tiling=(1, 1), schedule="staged", **kw))
     four = run(SimConfig(Np=4, tiling="1d", schedule="overlapped", **kw))
     grid = run(SimConfig(Np=4, tiling=(2, 2), schedule="overlapped", **kw))
-    assert np.array_equal(one.populations, four.populations)
-    assert np.array_equal(one.populations, grid.populations)
+    assert same_bits(one.populations, four.populations)
+    assert same_bits(one.populations, grid.populations)
 
 
 @pytest.mark.parametrize("tiling, schedule", [
@@ -402,7 +403,7 @@ def test_overlapped_tiles_narrower_than_frames_bitwise(model, Lx, Np):
     kw = dict(Lx=Lx, Ly=16, model=model, **THIN)
     one = run(SimConfig(Np=1, schedule="staged", **kw))
     thin = run(SimConfig(Np=Np, tiling="1d", schedule="overlapped", **kw))
-    assert np.array_equal(one.populations, thin.populations)
+    assert same_bits(one.populations, thin.populations)
 
 
 @pytest.mark.parametrize("tiling", [(1, 2), (2, 2)], ids=["1x2", "2x2"])
@@ -416,7 +417,7 @@ def test_wall_tiles_as_high_as_the_wall_rows_bitwise(model, tiling):
     for schedule in ("staged", "overlapped"):
         split = run(SimConfig(Np=tiling[0] * tiling[1], tiling=tiling,
                               schedule=schedule, **kw))
-        assert np.array_equal(one.populations, split.populations), schedule
+        assert same_bits(one.populations, split.populations), schedule
 
 
 @pytest.mark.parametrize("model, Lx, Np", [
@@ -461,7 +462,7 @@ def test_every_small_tiling_and_schedule_bitwise(model, boundary):
         for schedule in ("staged", "overlapped"):
             split = run(SimConfig(Np=tiling[0] * tiling[1], tiling=tiling,
                                   schedule=schedule, **kw))
-            assert np.array_equal(one, split.populations), (tiling, schedule)
+            assert same_bits(one, split.populations), (tiling, schedule)
 
 
 def test_random_small_runs_match_one_rank_bitwise():
@@ -490,7 +491,7 @@ def test_random_small_runs_match_one_rank_bitwise():
                                None if numpy_path else native.load()):
             split = run(SimConfig(Np=tiling[0] * tiling[1], tiling=tiling,
                                   schedule=schedule, **kw))
-        assert np.array_equal(one, split.populations)
+        assert same_bits(one, split.populations)
 
     check()
 
@@ -541,6 +542,58 @@ def test_overlapped_kernel_calls_per_rank_step(monkeypatch, tiling, calls):
     assert len(seen) == calls * Np * steps
     if calls == 1:
         assert all(region is None for region in seen)
+        assert all(row["t_border"] == 0.0 for row in res.metrics)
+
+
+@pytest.mark.parametrize("tiling, schedule, order", [
+    ((2, 1), "staged", ["Y", "X send", "X recv", "tile"]),
+    ((2, 1), "overlapped", ["Y", "X send", "bulk", "X recv", "frames"]),
+    ((1, 2), "overlapped", ["Y", "tile"])],
+    ids=["2x1-staged", "2x1-overlapped", "1x2-overlapped"])
+def test_step_order_of_exchanges_and_kernel_calls(monkeypatch, tiling,
+                                                  schedule, order):
+    # every rank-step exchanges Y, posts the X messages, and receives them
+    # before the first call that reads the X halos: the whole tile when
+    # staged, the frames after the bulk when overlapped.  An X that wraps
+    # carries no message, and its overlapped step is one call
+    from thermolb import runtime
+    events, here = {}, threading.local()
+
+    def log(event):
+        key = (here.worker.tile.rank, here.step)
+        events.setdefault(key, [])
+        if events[key][-1:] != [event]:   # one entry per face pair
+            events[key].append(event)
+
+    def wrap(owner, name, record):
+        real = getattr(owner, name)
+
+        def recorded(*args):
+            record(*args)
+            return real(*args)
+        monkeypatch.setattr(owner, name, recorded)
+
+    def step(w, step_no):
+        here.worker, here.step = w, step_no
+
+    def call(prv, nxt, params, vs, region, *rest):
+        w = here.worker
+        log("tile" if region is None else
+            "bulk" if region is w.bulk else "frames" if region is w.frames
+            else region)
+
+    wrap(RankWorker, "step", step)
+    wrap(RankWorker, "exchange", lambda w, f, s, axis: axis and log("Y"))
+    wrap(Fabric, "send", lambda fab, src, dst, tag, *a: tag[0] == "x"
+         and log("X send"))
+    wrap(Fabric, "recv", lambda fab, dst, src, tag, *a: tag[0] == "x"
+         and log("X recv"))
+    wrap(runtime, "propagate_collide_fused", call)
+    Np, steps = tiling[0] * tiling[1], 3
+    res = run(SimConfig(Lx=12, Ly=16, model="D2Q37", Np=Np, tiling=tiling,
+                        schedule=schedule, **dict(THIN, steps=steps)))
+    assert events == {(r, s): order for r in range(Np) for s in range(steps)}
+    if order[-1] == "tile":
         assert all(row["t_border"] == 0.0 for row in res.metrics)
 
 
