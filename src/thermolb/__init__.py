@@ -1,7 +1,7 @@
 """Thermal lattice Boltzmann engine with a simulated multi-rank runtime."""
 
-from .geometry import (AOS, SOA, LatticeGeometry, MacroFields, PopulationField,
-                       allocate_field, site_index, swap_buffers)
+from .geometry import (LatticeGeometry, MacroFields, PopulationField,
+                       allocate_field)
 from .kernels import (PhysicsParams, apply_shift, bc, collide, equilibrium,
                       moments, propagate, propagate_collide_fused)
 from .planner import (BandwidthTable, CostModelInput, Prediction, brent_bound,
@@ -13,8 +13,7 @@ from .sim import RunResult, SimConfig, run
 from .velocity_set import VelocitySet, build_velocity_set
 
 __all__ = [
-    "AOS", "SOA", "LatticeGeometry", "MacroFields", "PopulationField",
-    "allocate_field", "site_index", "swap_buffers",
+    "LatticeGeometry", "MacroFields", "PopulationField", "allocate_field",
     "PhysicsParams", "apply_shift", "bc", "collide", "equilibrium", "moments",
     "propagate", "propagate_collide_fused",
     "BandwidthTable", "CostModelInput", "Prediction", "brent_bound",

@@ -1,8 +1,10 @@
 """Desk-hardware analogs of the communication and layout micro-benchmarks.
 
 The layout benchmark times the fused kernel, the call a rank's step makes,
-on a structure-of-arrays (SoA) tile and on its array-of-structures (AoS)
-copy.  Runs store SoA only; AoS lives on here as the measured alternative.
+on a tile stored as runs store it, structure-of-arrays (SoA: one contiguous
+(Q, NX, NY) array), and on an array-of-structures (AoS) copy that keeps the
+Q values of a site together.  This module is the only place that builds
+the AoS copy: it measures the alternative that runs do not use.
 
 Every benchmark validates the measured operation before timing it, and
 reports dispersion (min/median/max) over at least 5 repetitions.  Timing uses
@@ -17,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .geometry import LatticeGeometry, allocate_field, same_bits
+from .geometry import (LatticeGeometry, PopulationField, allocate_field,
+                       same_bits)
 from .kernels import PhysicsParams, propagate_collide_fused
 from .planner import BandwidthTable, CostModelInput
 from .runtime import DEFAULT_HALO, Fabric, RankWorker, decompose
 from .velocity_set import build_velocity_set
 
 MIN_REPS = 5
+LAYOUTS = ("soa", "aos")
 
 
 @dataclass
@@ -74,19 +78,35 @@ def _random_field(geom, vs, seed=0):
     return prv, nxt
 
 
+def stored_as(field, layout):
+    """A copy of field with the same (Q, NX, NY) values, stored in layout.
+
+    "soa" is a contiguous copy of the array.  "aos" is a contiguous
+    (NX, NY, Q) array seen through np.moveaxis as a strided (Q, NX, NY)
+    view, which the compiled kernel and the numpy path address through its
+    strides as they do any other.
+    """
+    if layout == "soa":
+        return PopulationField(field.geom, field.pops.copy())
+    if layout == "aos":
+        sites = np.ascontiguousarray(np.moveaxis(field.pops, 0, 2))
+        return PopulationField(field.geom, np.moveaxis(sites, 2, 0))
+    raise ContractViolation(f"unknown layout {layout!r}")
+
+
 def bench_layout(Lx, Ly, layout="soa", model="D2Q37", reps=MIN_REPS, seed=0):
     """Time the fused kernel over the whole tile in the given layout.
 
-    The SoA field is the reference and other layouts are its converted
-    copies.  The run is gated on the layout's output being bit-identical to
-    the SoA output in the canonical view, so only the memory traffic pattern
+    The run's own SoA field is the reference and the timed buffers are its
+    copies in layout (stored_as).  The run is gated on their output being
+    bit-identical to the reference's, so only the memory traffic pattern
     differs between layouts.
     """
     vs = build_velocity_set(model)
     params = PhysicsParams(tau=1.0)
     geom = LatticeGeometry(Lx, Ly, DEFAULT_HALO, DEFAULT_HALO, vs.Q)
     ref_prv, ref_nxt = _random_field(geom, vs, seed)
-    prv, nxt = ref_prv.converted(layout), ref_nxt.converted(layout)
+    prv, nxt = stored_as(ref_prv, layout), stored_as(ref_nxt, layout)
     propagate_collide_fused(ref_prv, ref_nxt, params, vs)
     propagate_collide_fused(prv, nxt, params, vs)
     if not same_bits(ref_nxt.pops, nxt.pops):

@@ -61,6 +61,13 @@ def _value(cfg, key, kind, default=None):
             f"{key!r} must be {kind.__name__}, got {value!r}") from None
 
 
+def mapping(value):
+    """A key/value mapping from a config file, copied."""
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    return dict(value)
+
+
 def boolean(value):
     """A yes/no value from --walls or a config file: 1/true/yes or
     0/false/no, in any case."""
@@ -104,7 +111,7 @@ def cmd_simulate(args):
         Twall_top=_value(cfg, "twall_top", float, 1.0),
         Twall_bot=_value(cfg, "twall_bot", float, 1.0),
     )
-    init_kwargs = dict(cfg.get("init_kwargs", {}))
+    init_kwargs = _value(cfg, "init_kwargs", mapping, {})
     if "seed" in cfg and cfg["seed"] is not None:
         init_kwargs.setdefault("seed", _value(cfg, "seed", int))
     sim = SimConfig(
@@ -188,7 +195,7 @@ def cmd_bench(args):
     out = args.out or f"bench_{which}.csv"
     if which == "layout":
         rows = []
-        for layout in ("soa", "aos"):
+        for layout in bench_mod.LAYOUTS:
             r = bench_mod.bench_layout(args.size, args.size, layout=layout)
             rows.append([layout, r.repetitions, repr(r.median), repr(r.min),
                          repr(r.max), repr(r.metric)])

@@ -48,8 +48,8 @@
    depends on where it sits in a block, so the order gives the same bits.
    Inside a block every loop runs over populations outside and sites inside,
    so the compiler can vectorize the site loop.  Populations are addressed
-   through the element strides of the canonical (Q, NX, NY) view, which
-   covers both the SoA and the AoS layout.  tlb_fused owns the tile's
+   through the element strides of their (Q, NX, NY) array, so any strided
+   view of that shape serves.  tlb_fused owns the tile's
    boundaries: each pull is mapped per axis (pull_at).  An axis the rank
    shares only with itself wraps into the physical range, so the pull reads
    the site a copy of the tile's own faces would have put in the halo; Y at

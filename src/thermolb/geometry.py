@@ -1,21 +1,16 @@
 """Lattice geometry, halo framing and population storage.
 
-Sites are stored column-major along Y: for a fixed population and x, values at
-consecutive y are contiguous.  The SoA layout keeps each population plane
-contiguous ((Q, NX, NY) storage); AoS keeps the Q values of one site together
-((NX, NY, Q) storage).  Kernels always address storage through the canonical
-(Q, NX, NY) view, so numerics are layout-independent.
+A tile's populations are one (Q, NX, NY) float64 array: each population's
+plane is contiguous, and within it the values at consecutive y for a fixed
+x.  The kernels address it through its strides.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllocationError, ContractViolation
+from .errors import AllocationError
 from .velocity_set import VelocitySet
-
-SOA = "soa"
-AOS = "aos"
 
 # Refuse allocations above this many scalars (half the address range a signed
 # 32-bit element count would allow; plenty for desk-scale runs).
@@ -31,15 +26,12 @@ class LatticeGeometry:
     Hx: int
     Hy: int
     Q: int
-    layout: str = SOA
 
     def __post_init__(self):
         if self.Lx < 1 or self.Ly < 1:
             raise AllocationError(f"degenerate extents {self.Lx}x{self.Ly}")
         if self.Hx < 0 or self.Hy < 0 or self.Q < 1:
             raise AllocationError("negative halo or empty stencil")
-        if self.layout not in (SOA, AOS):
-            raise AllocationError(f"unknown layout {self.layout!r}")
 
     @property
     def NX(self):
@@ -84,56 +76,18 @@ class LatticeGeometry:
             )
 
 
-def site_index(geom: LatticeGeometry, l, x, y):
-    """Storage offset of (population l, padded site x, y) under geom's layout."""
-    if not (0 <= l < geom.Q and 0 <= x < geom.NX and 0 <= y < geom.NY):
-        raise ContractViolation(f"index out of range: l={l} x={x} y={y}")
-    if geom.layout == SOA:
-        return l * geom.NX * geom.NY + x * geom.NY + y
-    return (x * geom.NY + y) * geom.Q + l
-
-
 class PopulationField:
-    """One double-buffered half: Q x NX x NY double-precision scalars."""
+    """One double-buffered half: pops, the (Q, NX, NY) float64 populations
+    of geom's padded tile; zeroed unless the caller passes the array."""
 
-    def __init__(self, geom: LatticeGeometry, role="prv", data=None):
+    def __init__(self, geom: LatticeGeometry, pops=None):
         self.geom = geom
-        self.role = role
         n = geom.Q * geom.NX * geom.NY
         if n > _MAX_SCALARS:
             raise AllocationError(f"field of {n} scalars exceeds addressable size")
-        if data is None:
-            shape = (
-                (geom.Q, geom.NX, geom.NY)
-                if geom.layout == SOA
-                else (geom.NX, geom.NY, geom.Q)
-            )
-            data = np.zeros(shape, dtype=np.float64)
-        self.data = data
-
-    @property
-    def pops(self):
-        """Canonical (Q, NX, NY) view of the storage, any layout."""
-        if self.geom.layout == SOA:
-            return self.data
-        return np.moveaxis(self.data, 2, 0)
-
-    @property
-    def flat(self):
-        return self.data.reshape(-1)
-
-    def converted(self, layout):
-        """Copy of this field in the requested layout (bit-exact values)."""
-        if layout == self.geom.layout:
-            return PopulationField(self.geom, self.role, self.data.copy())
-        geom = LatticeGeometry(
-            self.geom.Lx, self.geom.Ly, self.geom.Hx, self.geom.Hy, self.geom.Q, layout
-        )
-        if layout == AOS:
-            data = np.ascontiguousarray(np.moveaxis(self.data, 0, 2))
-        else:
-            data = np.ascontiguousarray(np.moveaxis(self.data, 2, 0))
-        return PopulationField(geom, self.role, data)
+        if pops is None:
+            pops = np.zeros((geom.Q, geom.NX, geom.NY))
+        self.pops = pops
 
 
 def allocate_field(geom: LatticeGeometry, vs: VelocitySet):
@@ -141,13 +95,7 @@ def allocate_field(geom: LatticeGeometry, vs: VelocitySet):
     if geom.Q != vs.Q:
         raise AllocationError(f"geometry Q={geom.Q} does not match {vs.name}")
     geom.check_halo(vs)
-    return PopulationField(geom, "prv"), PopulationField(geom, "nxt")
-
-
-def swap_buffers(prv: PopulationField, nxt: PopulationField):
-    """Exchange buffer roles without copying data."""
-    prv.role, nxt.role = nxt.role, prv.role
-    return nxt, prv
+    return PopulationField(geom), PopulationField(geom)
 
 
 def same_bits(a, b):

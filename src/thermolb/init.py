@@ -4,6 +4,8 @@ Each preset builds the full (Q, Lx, Ly) population array once, so every
 decomposition of the same configuration starts from identical bits.
 """
 
+import inspect
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -11,7 +13,7 @@ from .kernels import equilibrium
 from .velocity_set import VelocitySet
 
 
-def uniform(Lx, Ly, vs: VelocitySet, **_):
+def uniform(Lx, Ly, vs: VelocitySet):
     """Unit density at rest at the lattice temperature: f_l = w_l."""
     shape = (Lx, Ly)
     rho = np.ones(shape)
@@ -19,7 +21,7 @@ def uniform(Lx, Ly, vs: VelocitySet, **_):
     return equilibrium(rho, z, z, np.full(shape, vs.cs2), vs)
 
 
-def random_near_equilibrium(Lx, Ly, vs: VelocitySet, seed=0, amplitude=0.01, **_):
+def random_near_equilibrium(Lx, Ly, vs: VelocitySet, seed=0, amplitude=0.01):
     """Equilibrium at randomly perturbed (rho, u, T); used by conservation runs."""
     rng = np.random.default_rng(seed)
     shape = (Lx, Ly)
@@ -30,7 +32,7 @@ def random_near_equilibrium(Lx, Ly, vs: VelocitySet, seed=0, amplitude=0.01, **_
     return equilibrium(rho, ux, uy, T, vs)
 
 
-def taylor_green(Lx, Ly, vs: VelocitySet, u0=0.01, **_):
+def taylor_green(Lx, Ly, vs: VelocitySet, u0=0.01):
     """Taylor-Green vortex at the lattice temperature (athermal start)."""
     kx = 2.0 * np.pi / Lx
     ky = 2.0 * np.pi / Ly
@@ -43,7 +45,7 @@ def taylor_green(Lx, Ly, vs: VelocitySet, u0=0.01, **_):
 
 
 def rayleigh_taylor(Lx, Ly, vs: VelocitySet, T_hot=None, T_cold=None,
-                    perturbation=0.02, width=2.0, seed=0, **_):
+                    perturbation=0.02, width=2.0):
     """Heavy cold fluid above light hot fluid with a sinusoidal interface.
 
     Density follows the ideal-gas relation at uniform pressure, so the cold
@@ -73,9 +75,17 @@ PRESETS = {
 
 
 def build_initial_state(name, Lx, Ly, vs, **kwargs):
+    """The (Q, Lx, Ly) populations of preset name; kwargs must be parameters
+    the preset takes, so that a misspelt one is an error, not a default."""
     try:
         preset = PRESETS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown initial condition {name!r}; choose from {sorted(PRESETS)}")
+    takes = list(inspect.signature(preset).parameters)[3:]
+    for key in kwargs:
+        if key not in takes:
+            raise ConfigurationError(
+                f"initial condition {name!r} takes no {key!r}; it takes "
+                f"{', '.join(takes) or 'no parameters'}")
     return preset(Lx, Ly, vs, **kwargs)

@@ -95,7 +95,11 @@ def load_config(path):
     if not os.path.exists(path):
         raise ConfigurationError(f"config file {path!r} not found")
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(
+                f"{path}: not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected a key/value mapping")
     return data

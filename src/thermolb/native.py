@@ -234,12 +234,11 @@ class Plan:
 
     def __init__(self, prv, nxt, params, vs, walls, wrap=(False, False)):
         self.params, self.vs, self.walls, self.wrap = params, vs, walls, wrap
-        self.buffers = (prv.data, nxt.data)
+        self.buffers = pops = (prv.pops, nxt.pops)
         self._boxes = {}
         self._args = None          # None: the kernel cannot take these buffers
         order = vs.eq_order if params.eq_order is None else params.eq_order
         geom = prv.geom
-        pops = (prv.pops, nxt.pops)
         # Every pull reads at most max_hop sites outside the physical region,
         # and a wrapped one is shifted by the tile's extent only once.
         if (order not in (2, 3, 4) or min(geom.Hx, geom.Hy) < vs.max_hop
@@ -275,8 +274,8 @@ class Plan:
         a, b = self.buffers
         return (params is self.params and vs is self.vs
                 and walls is self.walls and wrap == self.wrap
-                and ((prv.data is a and nxt.data is b)
-                     or (prv.data is b and nxt.data is a)))
+                and ((prv.pops is a and nxt.pops is b)
+                     or (prv.pops is b and nxt.pops is a)))
 
     def run(self, prv, nxt, boxes):
         """Run tlb_fused over boxes, a list of non-empty physical (xs, ys)
@@ -290,7 +289,7 @@ class Plan:
         lib = load()
         if lib is None or self._args is None:
             return None
-        src, dst, strides = self._args[prv.data is self.buffers[1]]
+        src, dst, strides = self._args[prv.pops is self.buffers[1]]
         key = tuple((xs.start, xs.stop, ys.start, ys.stop) for xs, ys in boxes)
         box = self._boxes.get(key)
         if box is None:

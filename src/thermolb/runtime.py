@@ -8,15 +8,15 @@ a chain with walls at the ends (or a ring when periodic_y is set).
 Only populations whose hop component crosses a face are exchanged: for halo
 depth d the set {l : c_l . n >= d}, which for D2Q37 amounts to 26 values per
 boundary site across the 3-deep halo.  Each worker builds a face table once,
-whose flat storage indices make every pack one gather and every unpack one
-scatter, for either axis.  The Y (non-contiguous) faces cover physical
-columns only and are exchanged before the X (contiguous) faces, which span
-the rows the kernel reads (LatticeGeometry.clamp_rows); that order serves
-only to forward diagonal-neighbor data into the corner halo cells.  An axis
-whose neighbours on both sides are the rank itself (X when the grid is one
-tile wide, Y on a periodic ring one tile high) wraps: the kernel pulls
+whose flat indices into the (Q, NX, NY) populations make every pack one
+gather and every unpack one scatter, for either axis.  The Y
+(non-contiguous) faces cover physical columns only and are exchanged before
+the X (contiguous) faces, which span the rows the kernel reads
+(LatticeGeometry.clamp_rows); that order serves only to forward
+diagonal-neighbor data into the corner halo cells.  An axis whose
+neighbours on both sides are the rank itself (X when the grid is one tile
+wide, Y on a periodic ring one tile high) wraps: the kernel pulls
 across it from the tile itself, so its faces are neither copied nor sent.
-Tiles are stored structure-of-arrays.
 
 A step is one sequence for both schedules: exchange Y, post the X sends,
 then make one kernel call per region group, receiving X before the group
@@ -39,9 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import native
-from .errors import (ConfigurationError, ContractViolation, DeadlockError,
-                     PeerAbortedError, ProtocolError)
-from .geometry import LatticeGeometry, allocate_field, swap_buffers
+from .errors import (ConfigurationError, DeadlockError, PeerAbortedError,
+                     ProtocolError)
+from .geometry import LatticeGeometry, allocate_field
 # The step calls only propagate_collide_fused, which also counts the
 # negative values it writes.  propagate, collide, bc and count_negative stay
 # imported because the benchmark's span tracer (perfbench/spans.py) wraps
@@ -188,7 +188,8 @@ class Fabric:
 class Face(NamedTuple):
     """One entry of a rank's face table.  sign +1 sends the up (Y) or right
     (X) edge to dst and fills the low halo from src; sign -1 mirrors both.
-    The indices are flat storage offsets, in payload order."""
+    The indices are flat (C-order) indices of the (Q, NX, NY) populations,
+    in payload order."""
 
     axis: int               # 0 = X (contiguous), 1 = Y (non-contiguous)
     sign: int
@@ -237,7 +238,6 @@ class RankWorker:
         self.plan = native.Plan(self.prv, self.nxt, params, vs,
                                 self.wall_rows, self.wrap)
         self.metrics = []
-        self.snapshots = []
 
     # -- halo exchange -----------------------------------------------------
 
@@ -248,16 +248,11 @@ class RankWorker:
         when Y wraps, up to the outermost physical row at a wall, else the
         padded height.  A wrapped axis's faces are never exchanged."""
         g, t = self.geom, self.tile
-        for field in (self.prv, self.nxt):
-            if not np.may_share_memory(field.flat, field.data):
-                raise ContractViolation(
-                    f"rank {t.rank}: population storage is not contiguous")
         if self.wall_rows and g.Ly < WALL_ROWS:
             raise ConfigurationError(
                 f"rank {t.rank}: tile Y extent {g.Ly} is narrower than the "
                 f"{WALL_ROWS} wall rows")
-        pops = self.prv.pops
-        strides = [s // pops.itemsize for s in pops.strides]   # (l, x, y)
+        strides = (g.NX * g.NY, g.NY, 1)   # (l, x, y)
         lo, hi = g.clamp_rows(self.wall_rows, self.wrap[1])
         spans = (np.arange(lo, hi + 1), np.arange(g.Hx, g.Hx + g.Lx))
         faces = {}
@@ -287,18 +282,18 @@ class RankWorker:
         if payload.size != face.halo_index.size:
             raise ProtocolError(f"rank {self.tile.rank}: "
                                 f"{'XY'[axis]} payload size mismatch")
-        f.flat[face.halo_index] = payload
+        f.pops.reshape(-1)[face.halo_index] = payload
 
     # perfbench's span tracer wraps these four names; send and recv look
     # them up on the worker at call time so the wrappers see every call.
     def pack_x(self, f, sign):
-        return f.flat.take(self.faces[(0, sign)].send_index)
+        return f.pops.take(self.faces[(0, sign)].send_index)
 
     def unpack_x(self, f, sign, payload):
         self._unpack(f, 0, sign, payload)
 
     def pack_y(self, f, sign):
-        return f.flat.take(self.faces[(1, sign)].send_index)
+        return f.pops.take(self.faces[(1, sign)].send_index)
 
     def unpack_y(self, f, sign, payload):
         self._unpack(f, 1, sign, payload)
@@ -372,7 +367,7 @@ class RankWorker:
                 self.plan, self.wrap)
             t1 = time.perf_counter()
             t[key] = t1 - t2
-        self.prv, self.nxt = swap_buffers(self.prv, self.nxt)
+        self.prv, self.nxt = nxt, prv
         self.metrics.append(t)
 
     def physical_block(self):

@@ -38,6 +38,9 @@ class SimConfig:
     debug_poison: bool = False
 
     def __post_init__(self):
+        if self.Lx < 1 or self.Ly < 1:
+            raise ConfigurationError(
+                f"lattice extents must be at least 1, got {self.Lx}x{self.Ly}")
         if self.Np < 1:
             raise ConfigurationError(f"Np must be at least 1, got {self.Np}")
         if self.steps < 0:
@@ -74,30 +77,6 @@ def _macro_of(f, vs):
     return MacroFields(rho, ux, uy, T)
 
 
-def _stitch_snapshots(workers, Lx, Ly):
-    """[(step, MacroFields)] from the ranks' reduced snapshot tiles.
-
-    Each rank reduced its tile to rho, u and T at the snapshot step; moments
-    works site by site, so the bits are those of a reduction over the
-    stitched populations.  Each tile is released once stitched, and the
-    density check runs on the stitched rho so that its sites are global.
-    """
-    out = []
-    for i, (step, _) in enumerate(workers[0].snapshots):
-        macro = MacroFields(*(np.empty((Lx, Ly)) for _ in range(4)))
-        for w in workers:
-            _, parts = w.snapshots[i]
-            w.snapshots[i] = None
-            t = w.tile
-            sites = (slice(t.x0, t.x0 + t.Lx), slice(t.y0, t.y0 + t.Ly))
-            for field, part in zip(
-                    (macro.rho, macro.ux, macro.uy, macro.T), parts):
-                field[sites] = part
-        check_density(macro.rho)
-        out.append((step, macro))
-    return out
-
-
 def run(cfg: SimConfig) -> RunResult:
     """Execute cfg.steps time steps on cfg.Np simulated ranks."""
     vs = build_velocity_set(cfg.model)
@@ -114,6 +93,13 @@ def run(cfg: SimConfig) -> RunResult:
             f0[:, tile.x0:tile.x0 + tile.Lx, tile.y0:tile.y0 + tile.Ly]
         workers.append(w)
     del f0  # the tiles hold the initial state now
+    # {step: global fields}: each rank writes its tile's rho, u and T at a
+    # snapshot step straight into them (moments works site by site, so the
+    # bits are those of the global reduction); the last step's snapshot is
+    # taken from the final state
+    every = cfg.snapshot_every
+    snaps = {s: MacroFields(*(np.empty((cfg.Lx, cfg.Ly)) for _ in range(4)))
+             for s in range(every, cfg.steps, every)} if every else {}
 
     # Rank r's thread is bound to CPU r (mod the process's CPUs), as an MPI
     # launcher binds ranks to cores: unbound, the scheduler can keep two
@@ -123,9 +109,11 @@ def run(cfg: SimConfig) -> RunResult:
             if cfg.Np > 1 and hasattr(os, "sched_setaffinity") else [])
 
     def worker_loop(w):
+        t = w.tile
+        sites = (slice(t.x0, t.x0 + t.Lx), slice(t.y0, t.y0 + t.Ly))
         if len(cpus) > 1:
             with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, {cpus[w.tile.rank % len(cpus)]})
+                os.sched_setaffinity(0, {cpus[t.rank % len(cpus)]})
         try:
             for s in range(cfg.steps):
                 if fabric.abort.is_set():
@@ -136,14 +124,15 @@ def run(cfg: SimConfig) -> RunResult:
                     raise ThermoLBError(
                         f"rank {w.tile.rank}: NaN reached physical cells "
                         f"at step {s}")
-                if (cfg.snapshot_every and (s + 1) % cfg.snapshot_every == 0
-                        and s + 1 < cfg.steps):
-                    # the last step's snapshot is taken from the final
-                    # state; a bad site divides by zero here, and
-                    # _stitch_snapshots' density check reports it
+                macro = snaps.get(s + 1)
+                if macro is not None:
+                    # a bad site divides by zero here, and the density
+                    # check on the global rho after the join reports it
                     with np.errstate(divide="ignore", invalid="ignore"):
                         parts = moments(w.physical_block(), vs, check=False)
-                    w.snapshots.append((s + 1, parts))
+                    for out, part in zip(
+                            (macro.rho, macro.ux, macro.uy, macro.T), parts):
+                        out[sites] = part
         except PeerAbortedError:  # another rank's failure, already recorded
             return
         except Exception as exc:  # propagate to the coordinator
@@ -171,9 +160,10 @@ def run(cfg: SimConfig) -> RunResult:
 
     metrics = [row for w in workers for row in w.metrics]
 
-    snapshots = _stitch_snapshots(workers, cfg.Lx, cfg.Ly)
+    for snap in snaps.values():
+        check_density(snap.rho)
+    snapshots = list(snaps.items())
     macro = _macro_of(final, vs)
-    every = cfg.snapshot_every
     if every and cfg.steps and cfg.steps % every == 0:
         snapshots.append((cfg.steps, macro))
 

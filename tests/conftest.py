@@ -35,6 +35,14 @@ def periodic_fill(field):
         pops[:, :, Hy + Ly:] = pops[:, :, Hy:2 * Hy]
 
 
+def layout_of(pops):
+    """"soa" for one C-contiguous (Q, NX, NY) array, "aos" for a view of a
+    C-contiguous (NX, NY, Q) one (bench.stored_as), else None."""
+    if pops.flags.c_contiguous:
+        return "soa"
+    return "aos" if np.moveaxis(pops, 0, 2).flags.c_contiguous else None
+
+
 def beyond_walls(field):
     """The halo rows below the first and above the last physical row."""
     g = field.geom

@@ -61,7 +61,7 @@ def test_c04_fused_equivalence(d2q37):
     for seed in range(100):
         prv, nxt = allocate_field(geom, d2q37)
         prv.pops[...] = random_state(geom, d2q37, seed=seed)
-        ref = type(nxt)(geom, "nxt")
+        ref = type(nxt)(geom)
         propagate(prv, ref, d2q37, region)
         xs, ys = region
         ref.pops[:, xs, ys] = collide(ref.pops[:, xs, ys], params, d2q37)

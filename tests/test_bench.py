@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermolb import PopulationField, bench
+from thermolb import bench
 from thermolb.bench import (BenchResult, bench_halo_exchange, bench_layout,
                             bench_misalignment, cost_input_from_tables)
 from thermolb.errors import ContractViolation
@@ -26,18 +26,18 @@ def test_layout_bench_reports_rate(layout):
 
 def test_layout_bench_gates_on_bit_identical_output(monkeypatch):
     # an AoS copy one ulp off in one physical site must stop the benchmark
-    # before it times anything
-    convert = PopulationField.converted
+    # before it times anything (the kernel overwrites that site of nxt, so
+    # only prv's perturbation reaches the output)
+    stored_as = bench.stored_as
 
     def perturbed(field, layout):
-        copy = convert(field, layout)
-        if field.role == "prv":
-            g = copy.geom
-            site = copy.pops[:, g.Hx + 2, g.Hy + 3]
-            site[4] = np.nextafter(site[4], np.inf)
+        copy = stored_as(field, layout)
+        g = copy.geom
+        site = copy.pops[:, g.Hx + 2, g.Hy + 3]
+        site[4] = np.nextafter(site[4], np.inf)
         return copy
 
-    monkeypatch.setattr(PopulationField, "converted", perturbed)
+    monkeypatch.setattr(bench, "stored_as", perturbed)
     timed = []
     monkeypatch.setattr(bench, "_timed", lambda *a: timed.append(a))
     with pytest.raises(ContractViolation, match="aos"):

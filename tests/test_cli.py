@@ -222,6 +222,7 @@ def test_unexpected_error_in_run_is_not_a_config_error(tmp_path, capsys,
     ("simulate", "lx: abc\nly: 8\n", "'lx'"),
     ("simulate", "lx: 8\nly: 8\ntau: fast\n", "'tau'"),
     ("simulate", "lx: 8\nly: 8\nwalls: maybe\n", "'walls'"),
+    ("simulate", "lx: 0\nly: 8\n", "0x8"),
     ("plan", "lx: 64\nly: 64\nbeta: small\n", "'beta'"),
     ("plan", "lx: 64\nly: 64\nnp_list: 1,two\n", "'np_list'"),
 ])
@@ -263,6 +264,44 @@ def test_simulate_config_keeps_init_kwargs(tmp_path):
     rc = main(["simulate", "--config", str(cfgfile),
                "--outdir", str(tmp_path / "o")])
     assert rc == 0
+
+
+def test_config_yaml_syntax_error_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("lx: [8\nly: 8\n")
+    rc = main(["simulate", "--config", str(cfgfile),
+               "--outdir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(cfgfile) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, rc", [("5", 2), ("", 0)],
+                         ids=["number", "null"])
+def test_init_kwargs_must_be_a_mapping(tmp_path, capsys, value, rc):
+    # null stands for no parameters
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(f"lx: 8\nly: 8\nsteps: 1\ninit_kwargs: {value}\n")
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--outdir", str(tmp_path / "o")]) == rc
+    err = capsys.readouterr().err
+    assert ("'init_kwargs' must be mapping" in err) == bool(rc)
+    assert "Traceback" not in err
+
+
+def test_misspelt_init_parameter_is_config_error(tmp_path, capsys):
+    # a parameter the preset does not take is refused, not dropped in
+    # favour of the preset's default
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("lx: 8\nly: 8\nsteps: 1\ninit: random\n"
+                       "init_kwargs:\n  amplitud: 0.5\n")
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfgfile), "--outdir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'random' takes no 'amplitud'" in err and "amplitude" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_simulate_layout_flag_is_gone(tmp_path, capsys):

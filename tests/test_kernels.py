@@ -1,11 +1,14 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from thermolb import (LatticeGeometry, PhysicsParams, allocate_field,
-                      apply_shift, bc, collide, equilibrium, moments,
-                      propagate, propagate_collide_fused)
+                      apply_shift, bc, build_velocity_set, collide,
+                      equilibrium, moments, native, propagate,
+                      propagate_collide_fused)
+from thermolb.init import build_initial_state
 from thermolb.errors import (ContractViolation, DegenerateStateError,
                              DomainError)
 from conftest import beyond_walls, periodic_fill, random_state
@@ -303,12 +306,45 @@ def test_fused_matches_staged(d2q37):
     periodic_fill(prv)
     region = (slice(g.Hx + 1, g.Hx + 7), slice(g.Hy + 2, g.Hy + 6))
     staged = np.zeros_like(nxt.pops)
-    ref = type(nxt)(g, "nxt")
+    ref = type(nxt)(g)
     propagate(prv, ref, d2q37, region)
     xs, ys = region
     ref.pops[:, xs, ys] = collide(ref.pops[:, xs, ys], params, d2q37)
     propagate_collide_fused(prv, nxt, params, d2q37, region)
     assert np.array_equal(nxt.pops[:, xs, ys], ref.pops[:, xs, ys])
+
+
+def test_fused_step_conserves_mass_and_momentum():
+    # one step on a tile periodic in X and Y, with no force, from a random
+    # near-equilibrium state: total mass and momentum hold to 1e-12 of the
+    # total mass, on the compiled kernel and on the numpy path
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=24, deadline=None, database=None)
+    @hypothesis.given(model=st.sampled_from(["D2Q9", "D2Q37"]),
+                      numpy_path=st.booleans(),
+                      lx=st.integers(3, 12), ly=st.integers(3, 12),
+                      tau=st.floats(0.51, 2.0),
+                      amplitude=st.floats(0.0, 0.05),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(model, numpy_path, lx, ly, tau, amplitude, seed):
+        vs = build_velocity_set(model)
+        g, prv, nxt = make_pair(vs, lx, ly)
+        prv.pops[:, g.phys_x, g.phys_y] = build_initial_state(
+            "random", lx, ly, vs, seed=seed, amplitude=amplitude)
+        with mock.patch.object(native, "_lib",
+                               None if numpy_path else native.load()):
+            propagate_collide_fused(prv, nxt, PhysicsParams(tau=tau), vs,
+                                    wrap=(True, True))
+        before, after = (f.pops[:, g.phys_x, g.phys_y].sum(axis=(1, 2))
+                         for f in (prv, nxt))
+        mass = before.sum()
+        assert abs(after.sum() - mass) <= 1e-12 * mass
+        for c in vs.c.T.astype(float):
+            assert abs(c @ after - c @ before) <= 1e-12 * mass
+
+    check()
 
 
 def test_fused_empty_region_is_noop(d2q9):
@@ -342,13 +378,13 @@ def test_fused_wall_rows_match_staged(d2q37):
     g, prv, nxt = make_pair(d2q37, 8, 10)
     prv.pops[...] = random_state(g, d2q37, seed=31)
     periodic_fill(prv)
-    edged = type(prv)(g, "prv", prv.data.copy())
+    edged = type(prv)(g, prv.pops.copy())
     below, above = beyond_walls(edged)
     below[...] = edged.pops[:, :, g.Hy:g.Hy + 1]
     above[...] = edged.pops[:, :, g.Hy + g.Ly - 1:g.Hy + g.Ly]
     for rows in beyond_walls(prv):
         rows[...] = np.nan
-    ref = type(nxt)(g, "nxt")
+    ref = type(nxt)(g)
     propagate(edged, ref, d2q37)
     bc(ref, params, d2q37)
     walls = ((g.Hy, g.Hy + 3, params.Twall_bot, "bottom"),

@@ -10,14 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermolb import (LatticeGeometry, PhysicsParams, SimConfig,
-                      allocate_field, build_velocity_set,
+from thermolb import (LatticeGeometry, PhysicsParams, PopulationField,
+                      SimConfig, allocate_field, build_velocity_set,
                       propagate_collide_fused, run)
 from thermolb import equilibrium, kernels, moments, native, sim
+from thermolb.bench import stored_as
 from thermolb.errors import DegenerateStateError, DomainError, ThermoLBError
 from thermolb.geometry import same_bits
 from thermolb.init import PRESETS, build_initial_state
-from conftest import beyond_walls, periodic_fill
+from conftest import beyond_walls, layout_of, periodic_fill
 
 # 480 physical sites: the whole tile is longer than the kernel's 256-site
 # block, and neither extent is a multiple of it.
@@ -25,7 +26,7 @@ LX, LY = 24, 20
 
 
 def make_state(vs, layout, kind, seed=7):
-    g = LatticeGeometry(LX, LY, 3, 3, vs.Q, layout)
+    g = LatticeGeometry(LX, LY, 3, 3, vs.Q)
     prv, _ = allocate_field(g, vs)
     if kind == "near-equilibrium":
         f = build_initial_state("random", LX, LY, vs, seed=seed,
@@ -36,7 +37,15 @@ def make_state(vs, layout, kind, seed=7):
         f = build_initial_state(kind, LX, LY, vs)
     prv.pops[:, g.phys_x, g.phys_y] = f
     periodic_fill(prv)
+    prv = stored_as(prv, layout)
+    assert layout_of(prv.pops) == layout
     return g, prv
+
+
+def blank(prv):
+    """A zeroed field in prv's layout: np.zeros_like keeps its strides'
+    order."""
+    return PopulationField(prv.geom, np.zeros_like(prv.pops))
 
 
 def wall_rows(g, vs):
@@ -57,7 +66,7 @@ def regions(g):
 
 
 def numpy_result(monkeypatch, prv, params, vs, region, walls):
-    nxt = type(prv)(prv.geom, "nxt")
+    nxt = PopulationField(prv.geom)
     with monkeypatch.context() as m:
         m.setattr(native, "_lib", None)
         propagate_collide_fused(prv, nxt, params, vs, region, walls)
@@ -83,7 +92,7 @@ def test_compiled_matches_numpy_bitwise(compiled, monkeypatch, model, order,
     params = PhysicsParams(tau=0.8, gx=force[0], gy=force[1], eq_order=order)
     walls = wall_rows(g, vs)
     for name, (xs, ys) in regions(g).items():
-        nxt = type(prv)(g, "nxt")
+        nxt = blank(prv)
         plan = native.Plan(prv, nxt, params, vs, walls)
         assert plan.run(prv, nxt, [(xs, ys)]) is not None, name
         want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
@@ -100,11 +109,13 @@ def test_thin_boxes_compiled_match_numpy_bitwise(compiled, monkeypatch, model,
     # runs cross the kernel's 256-site block boundaries
     vs = build_velocity_set(model)
     lx, ly = 100, 20
-    g = LatticeGeometry(lx, ly, 3, 3, vs.Q, layout)
+    g = LatticeGeometry(lx, ly, 3, 3, vs.Q)
     prv, _ = allocate_field(g, vs)
     f = build_initial_state("random", lx, ly, vs, seed=4, amplitude=0.02)
     prv.pops[:, g.phys_x, g.phys_y] = f
     periodic_fill(prv)
+    prv = stored_as(prv, layout)
+    assert layout_of(prv.pops) == layout
     for rows in beyond_walls(prv):
         rows[...] = np.nan
     params = PhysicsParams(tau=0.8, gx=2e-5, gy=-1e-4)
@@ -123,7 +134,7 @@ def test_thin_boxes_compiled_match_numpy_bitwise(compiled, monkeypatch, model,
                                            slice(y0, y0 + 9)),
     }
     for name, (xs, ys) in boxes.items():
-        nxt = type(prv)(g, "nxt")
+        nxt = blank(prv)
         plan = native.Plan(prv, nxt, params, vs, walls)
         assert plan.run(prv, nxt, [(xs, ys)]) is not None, name
         want = numpy_result(monkeypatch, prv, params, vs, (xs, ys), walls)
@@ -182,7 +193,7 @@ def test_wrapped_pulls_equal_a_periodically_padded_tile(request, monkeypatch,
             tile.pops[:, :, :3] = tile.pops[:, :, 3 + ly:] = np.nan
         x0, x1, y0, y1 = box or (0, lx, 0, ly)
         region = (slice(3 + x0, 3 + x1), slice(3 + y0, 3 + y1))
-        got, want = (type(tile)(g, "nxt") for _ in range(2))
+        got, want = (PopulationField(g) for _ in range(2))
         if path == "native":
             plan = native.Plan(tile, got, params, vs, rows, wrap)
             assert plan.run(tile, got, [region]) is not None, name
@@ -209,11 +220,11 @@ def test_region_list_equals_regions_one_at_a_time(compiled, model, layout):
     boxes = [(slice(x0 + 3, x1 - 3), slice(y0, y1)),
              (slice(x0, x0 + 3), slice(y0, y1)),
              (slice(x1 - 3, x1), slice(y0 + 1, y1))]
-    together = type(prv)(g, "nxt")
+    together = blank(prv)
     plan = native.Plan(prv, together, params, vs, walls)
     got = propagate_collide_fused(prv, together, params, vs, boxes, walls,
                                   plan)
-    apart = type(prv)(g, "nxt")
+    apart = blank(prv)
     one_by_one = native.Plan(prv, apart, params, vs, walls)
     want = sum(one_by_one.run(prv, apart, [box]) for box in boxes)
     assert np.array_equal(together.pops, apart.pops)
@@ -233,7 +244,7 @@ def raised_on_both_paths(monkeypatch, exc_type, prv, params, vs, walls):
         with monkeypatch.context() as m:
             m.setattr(native, "_lib", lib)
             with pytest.raises(exc_type) as err:
-                propagate_collide_fused(prv, type(prv)(prv.geom, "nxt"),
+                propagate_collide_fused(prv, PopulationField(prv.geom),
                                         params, vs, walls=walls)
         assert type(err.value) is exc_type
         errors.append(err.value)
@@ -309,8 +320,7 @@ def negatives_rows(result):
     return [(m["step"], m["rank"], m["negatives"]) for m in result.metrics]
 
 
-# runs store SoA only; the layout stays in the case id and is checked on
-# every plan the compiled run builds
+# runs store SoA only: every plan the compiled run builds is checked for it
 @pytest.mark.parametrize("layout", ["soa"])
 @pytest.mark.parametrize("Np,tiling,schedule", [(1, "1d", "staged"),
                                                 (2, (1, 2), "overlapped"),
@@ -322,7 +332,7 @@ def test_in_kernel_negative_count_matches_numpy(compiled, monkeypatch, Np,
 
     class RecordingPlan(native.Plan):
         def __init__(self, prv, nxt, *args):
-            built.append((prv.geom.layout, nxt.geom.layout))
+            built.append((layout_of(prv.pops), layout_of(nxt.pops)))
             super().__init__(prv, nxt, *args)
 
     with monkeypatch.context() as m:

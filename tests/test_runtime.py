@@ -14,6 +14,7 @@ from thermolb.errors import (ConfigurationError, DeadlockError,
 from thermolb import native
 from thermolb.geometry import same_bits
 from thermolb.runtime import DEFAULT_HALO, Fabric, boundary_bytes_per_site
+from conftest import layout_of
 
 
 # -------------------------------------------------------------- decompose --
@@ -223,8 +224,8 @@ def _run_threads(ws, fn):
     assert not any(t.is_alive() for t in th)
 
 
-# runs store SoA only; the layout stays in the case id and is checked on
-# every worker's geometry
+# runs store SoA only: every worker's populations are checked for it, the
+# storage its face indices address
 @pytest.mark.parametrize("layout", ["soa"])
 @pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
 @pytest.mark.parametrize("Np, tiling, walls", [
@@ -247,7 +248,7 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
           for t in decompose(Lx, Ly, Np, tiling, periodic_y=not walls)]
     for w in ws:
         t, g = w.tile, w.geom
-        assert g.layout == layout
+        assert layout_of(w.prv.pops) == layout_of(w.nxt.pops) == layout
         w.prv.pops[...] = np.nan
         w.prv.pops[:, g.phys_x, g.phys_y] = \
             glob[:, t.x0:t.x0 + t.Lx, t.y0:t.y0 + t.Ly]
@@ -303,7 +304,7 @@ def test_single_wall_rank_pack_y_round_trip(model, layout):
     tile = decompose(12, 16, 1, "1d")[0]
     w = make_worker(tile, vs, Fabric(1))
     g = w.geom
-    assert g.layout == layout
+    assert layout_of(w.prv.pops) == layout
     glob = np.random.default_rng(5).random((vs.Q, g.Lx, g.Ly))
     w.prv.pops[...] = np.nan
     w.prv.pops[:, g.phys_x, g.phys_y] = glob
@@ -747,6 +748,12 @@ def test_deadlock_detection_surfaces():
 def test_config_rejects_zero_ranks():
     with pytest.raises(ConfigurationError, match="Np"):
         SimConfig(Lx=8, Ly=8, Np=0)
+
+
+@pytest.mark.parametrize("Lx, Ly", [(0, 8), (8, 0), (-1, 8)])
+def test_config_rejects_empty_extents(Lx, Ly):
+    with pytest.raises(ConfigurationError, match="extents"):
+        SimConfig(Lx=Lx, Ly=Ly)
 
 
 def test_config_rejects_negative_steps():
