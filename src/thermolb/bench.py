@@ -22,7 +22,7 @@ from .errors import ContractViolation
 from .geometry import (LatticeGeometry, PopulationField, allocate_field,
                        same_bits)
 from .kernels import PhysicsParams, propagate_collide_fused
-from .planner import BandwidthTable, CostModelInput
+from .planner import DEFAULT_S, BandwidthTable, CostModelInput
 from .runtime import DEFAULT_HALO, Fabric, RankWorker, decompose
 from .velocity_set import build_velocity_set
 
@@ -237,7 +237,7 @@ def bench_halo_exchange(edges, model="D2Q37", reps=7, inner=4):
     return [r for kind in kinds.values() for r in results[kind]], tables
 
 
-def cost_input_from_tables(tables, Lx, Ly, Np, beta, S=26 * 8):
+def cost_input_from_tables(tables, Lx, Ly, Np, beta, S=DEFAULT_S):
     """Planner input using measured bandwidths: X faces are the contiguous
     direction in this storage order, Y faces the non-contiguous one."""
     bx = BandwidthTable(*zip(*tables["contiguous"]))

@@ -50,24 +50,19 @@ class LatticeGeometry:
     def phys_y(self):
         return slice(self.Hy, self.Hy + self.Ly)
 
-    def clamp_rows(self, walls, wrap=False):
-        """(lo, hi): the rows pulls read.  The physical rows when Y wraps;
-        otherwise the padded edges, but a "bottom" wall (start, stop, Twall,
-        side) sets lo to the first physical row and a "top" one hi to the
-        last."""
-        if wrap:
-            return self.Hy, self.Hy + self.Ly - 1
+    def pull_ranges(self, walls, wrap):
+        """((xlo, xhi), (ylo, yhi)), the ranges pulls are mapped into: an
+        axis's physical sites when it wraps, else its padded extent, but a
+        "bottom" wall (start, stop, Twall, side) sets ylo to the first
+        physical row and a "top" one yhi to the last."""
+        xs = (self.Hx, self.Hx + self.Lx - 1) if wrap[0] else (0, self.NX - 1)
+        if wrap[1]:
+            return xs, (self.Hy, self.Hy + self.Ly - 1)
         lo, hi = 0, self.NY - 1
         for *_, side in walls:
             lo = self.Hy if side == "bottom" else lo
             hi = self.Hy + self.Ly - 1 if side == "top" else hi
-        return lo, hi
-
-    def pull_ranges(self, walls, wrap):
-        """((xlo, xhi), (ylo, yhi)), the ranges pulls are mapped into: X is
-        the physical columns when it wraps, else the padded width."""
-        xs = (self.Hx, self.Hx + self.Lx - 1) if wrap[0] else (0, self.NX - 1)
-        return xs, self.clamp_rows(walls, wrap[1])
+        return xs, (lo, hi)
 
     def check_halo(self, vs: VelocitySet):
         if self.Hx < vs.max_hop or self.Hy < vs.max_hop:

@@ -5,6 +5,7 @@ decomposition of the same configuration starts from identical bits.
 """
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -66,6 +67,12 @@ def rayleigh_taylor(Lx, Ly, vs: VelocitySet, T_hot=None, T_cold=None,
     return equilibrium(rho, z, z, T * np.ones((Lx, Ly)), vs)
 
 
+# The kind a preset parameter's value must have, by the type of its default;
+# a bool is never a number here.
+_KINDS = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"),
+          type(None): ((numbers.Real, type(None)), "a number or null")}
+
 PRESETS = {
     "uniform": uniform,
     "random": random_near_equilibrium,
@@ -76,16 +83,21 @@ PRESETS = {
 
 def build_initial_state(name, Lx, Ly, vs, **kwargs):
     """The (Q, Lx, Ly) populations of preset name; kwargs must be parameters
-    the preset takes, so that a misspelt one is an error, not a default."""
+    the preset takes, so that a misspelt one is an error, not a default, and
+    each must have the kind of the parameter's default."""
     try:
         preset = PRESETS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown initial condition {name!r}; choose from {sorted(PRESETS)}")
-    takes = list(inspect.signature(preset).parameters)[3:]
-    for key in kwargs:
+    takes = dict(list(inspect.signature(preset).parameters.items())[3:])
+    for key, value in kwargs.items():
         if key not in takes:
             raise ConfigurationError(
                 f"initial condition {name!r} takes no {key!r}; it takes "
                 f"{', '.join(takes) or 'no parameters'}")
+        kind, want = _KINDS[type(takes[key].default)]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigurationError(f"initial condition {name!r} parameter "
+                                     f"{key!r} must be {want}, not {value!r}")
     return preset(Lx, Ly, vs, **kwargs)

@@ -10,7 +10,8 @@ compiled form (fused.c, loaded by native.py) that mirrors these expressions
 term for term and gives the same bits; so do equilibrium and moments, which
 call their compiled forms on float64 arrays of at least one dimension and
 one shape.  In each case the numpy code here is the fallback and the
-reference.
+reference: the fused kernel's is the staged step itself, propagate, the
+wall rewrite of bc and collide, run box by box.
 """
 
 from dataclasses import dataclass
@@ -186,39 +187,40 @@ def _pulled(start, stop, lo, hi, wrap):
     return lo + (i - lo) % (hi - lo + 1) if wrap else np.clip(i, lo, hi)
 
 
-def _gather(prv_pops, vs: VelocitySet, xs, ys, pull, wrap):
-    """Pull gather: scratch[l] = prv[l, x - cx, y - cy] over the region,
-    with each axis mapped into its range of pull = geom.pull_ranges(walls,
-    wrap)."""
-    out = np.empty((vs.Q, xs.stop - xs.start, ys.stop - ys.start))
-    for l in range(vs.Q):
-        dx, dy = int(vs.c[l, 0]), int(vs.c[l, 1])
-        cols = _pulled(xs.start - dx, xs.stop - dx, *pull[0], wrap[0])
-        rows = _pulled(ys.start - dy, ys.stop - dy, *pull[1], wrap[1])
-        out[l] = prv_pops[l, cols][:, rows]
-    return out
-
-
-def propagate(prv: PopulationField, nxt: PopulationField, vs: VelocitySet, region=None):
-    """Pull streaming: nxt_l(x) = prv_l(x - c_l) on the region (physical sites)."""
+def propagate(prv: PopulationField, nxt: PopulationField, vs: VelocitySet,
+              region=None, walls=(), wrap=(False, False)):
+    """Pull streaming: nxt_l(x) = prv_l(x - c_l) on the region (physical
+    sites), each pulled axis mapped into its range of geom.pull_ranges(walls,
+    wrap).  With the defaults every pull reads the halo."""
     geom = prv.geom
     if region is None:
         region = (geom.phys_x, geom.phys_y)
     xs, ys = _check_region(geom, region)
+    pull = geom.pull_ranges(walls, wrap)
     src, dst = prv.pops, nxt.pops
     for l in range(vs.Q):
         dx, dy = int(vs.c[l, 0]), int(vs.c[l, 1])
-        dst[l, xs, ys] = src[l, xs.start - dx : xs.stop - dx, ys.start - dy : ys.stop - dy]
+        cols = _pulled(xs.start - dx, xs.stop - dx, *pull[0], wrap[0])
+        rows = _pulled(ys.start - dy, ys.stop - dy, *pull[1], wrap[1])
+        dst[l, xs, ys] = src[l, cols][:, rows]
 
 
-def _wall_equilibrium(block, Twall, params: PhysicsParams, vs: VelocitySet):
-    """Equilibrium at the block's own density, zero velocity and Twall."""
-    rho = np.zeros(block.shape[1:])
-    for l in range(vs.Q):
-        rho = rho + block[l]
-    zero = np.zeros_like(rho)
-    Tw = np.full_like(rho, Twall)
-    return equilibrium(rho, zero, zero, Tw, vs, order=params.eq_order)
+def _rewrite_walls(pops, walls, xs, ys, params: PhysicsParams,
+                   vs: VelocitySet):
+    """Set the box's rows inside each wall range (lo, hi, Twall, side) to
+    the equilibrium at their own density, zero velocity and Twall."""
+    for lo, hi, Twall, _ in walls:
+        rows = slice(max(lo, ys.start), min(hi, ys.stop))
+        if rows.start >= rows.stop:
+            continue
+        block = pops[:, xs, rows]
+        rho = np.zeros(block.shape[1:])
+        for l in range(vs.Q):
+            rho = rho + block[l]
+        zero = np.zeros_like(rho)
+        pops[:, xs, rows] = equilibrium(rho, zero, zero,
+                                        np.full_like(rho, Twall), vs,
+                                        order=params.eq_order)
 
 
 def wall_rows(geom: LatticeGeometry, params: PhysicsParams, bottom, top):
@@ -241,36 +243,35 @@ def bc(field: PopulationField, params: PhysicsParams, vs: VelocitySet,
     Populations become the local equilibrium at the pre-bc density, so the
     kernel conserves mass in the wall rows.  Runs strictly after propagate.
     """
-    pops, xs = field.pops, field.geom.phys_x
-    for lo, hi, Twall, _ in wall_rows(field.geom, params, bottom, top):
-        pops[:, xs, lo:hi] = _wall_equilibrium(pops[:, xs, lo:hi], Twall,
-                                               params, vs)
+    geom = field.geom
+    _rewrite_walls(field.pops, wall_rows(geom, params, bottom, top),
+                   geom.phys_x, geom.phys_y, params, vs)
 
 
 def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
                             params: PhysicsParams, vs: VelocitySet,
                             region=None, walls=(), plan=None,
                             wrap=(False, False)):
-    """Gather, wall rewrite and collide in one pass over one or more regions.
+    """Pull, wall rewrite and collide in one pass over one or more regions.
 
     region is one (xs, ys) pair of physical slices or a list of them; None
     means the whole physical tile.  walls lists (lo, hi, Twall, side)
     padded-y ranges, side "bottom" or "top".  A region's rows inside one
-    are set to the wall equilibrium (gathered density, zero velocity, Twall)
+    are set to the wall equilibrium (pulled density, zero velocity, Twall)
     before the collision.  Pulls from beyond a wall read the outermost
-    physical row on its side, so the result is bit-identical to staged
-    propagate -> bc -> collide on a field whose rows beyond each wall repeat
-    its edge row.  wrap = (x, y) marks the axes that are periodic within the
-    tile: a pull across one reads the physical site one tile length away,
-    never the halo, so the result is that of a tile whose halos along it
-    hold the periodic copy (geom.pull_ranges maps both cases).
+    physical row on its side, as on a field whose rows beyond each wall
+    repeat its edge row.  wrap = (x, y) marks the axes that are periodic
+    within the tile: a pull across one reads the physical site one tile
+    length away, never the halo, as on a tile whose halos along it hold the
+    periodic copy (geom.pull_ranges maps both cases).
 
     The compiled kernel does all regions in one call when it is available,
     through plan (a native.Plan) when it serves these arguments, otherwise
     through a throwaway one.  When the kernel is unavailable or refuses the
-    call (a degenerate state), the numpy path below reruns every region and
-    raises the typed error.  Both paths give the same bits.  Returns the
-    number of negative population values written.
+    call (a degenerate state), the staged step below (propagate, the wall
+    rewrite, collide) reruns every region in place in nxt and raises the
+    typed error; both give the same bits.  Returns the number of negative
+    population values written.
     """
     geom = prv.geom
     if region is None:
@@ -288,16 +289,10 @@ def propagate_collide_fused(prv: PopulationField, nxt: PopulationField,
     if negatives is not None:
         return negatives
     negatives = 0
-    pull = geom.pull_ranges(walls, wrap)
     for xs, ys in boxes:
-        scratch = _gather(prv.pops, vs, xs, ys, pull, wrap)
-        for lo, hi, Twall, _ in walls:
-            rows = slice(max(lo, ys.start) - ys.start,
-                         min(hi, ys.stop) - ys.start)
-            if rows.start < rows.stop:
-                scratch[:, :, rows] = _wall_equilibrium(scratch[:, :, rows],
-                                                        Twall, params, vs)
-        nxt.pops[:, xs, ys] = collide(scratch, params, vs)
+        propagate(prv, nxt, vs, (xs, ys), walls, wrap)
+        _rewrite_walls(nxt.pops, walls, xs, ys, params, vs)
+        nxt.pops[:, xs, ys] = collide(nxt.pops[:, xs, ys], params, vs)
         negatives += count_negative(nxt.pops[:, xs, ys])
     return negatives
 

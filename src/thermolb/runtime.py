@@ -12,7 +12,7 @@ whose flat indices into the (Q, NX, NY) populations make every pack one
 gather and every unpack one scatter, for either axis.  The Y
 (non-contiguous) faces cover physical columns only and are exchanged before
 the X (contiguous) faces, which span the rows the kernel reads
-(LatticeGeometry.clamp_rows); that order serves only to forward
+(LatticeGeometry.pull_ranges); that order serves only to forward
 diagonal-neighbor data into the corner halo cells.  An axis whose
 neighbours on both sides are the rank itself (X when the grid is one tile
 wide, Y on a periodic ring one tile high) wraps: the kernel pulls
@@ -67,8 +67,6 @@ class TileAssignment:
     x0: int                # global offset of the tile's first physical column
     y0: int
     neighbors: dict        # {"left","right","up","down"} -> rank id or None
-    uppermost: bool = False
-    lowermost: bool = False
 
 
 def _divisor_hint(L, axis):
@@ -110,8 +108,6 @@ def decompose(Lx, Ly, Np, tiling, periodic_y=False):
                 rank=rank, grid=(nx, ny), coords=(ix, iy), Lx=tx, Ly=ty,
                 x0=ix * tx, y0=iy * ty,
                 neighbors={"left": left, "right": right, "up": up, "down": down},
-                uppermost=(not periodic_y) and iy == ny - 1,
-                lowermost=(not periodic_y) and iy == 0,
             ))
     return tiles
 
@@ -219,11 +215,12 @@ class RankWorker:
         self.prv, self.nxt = allocate_field(self.geom, vs)
         self.plans = face_plans(vs, halo)
         self.halo = halo
-        self.wall_rows = wall_rows(self.geom, params,
-                                   walls and tile.lowermost,
-                                   walls and tile.uppermost)
-        # an axis wraps when the rank is its own neighbour on both sides
+        # walls bound the Y chain's ends; a Y ring has none
         nb = tile.neighbors
+        self.wall_rows = wall_rows(self.geom, params,
+                                   walls and nb["down"] is None,
+                                   walls and nb["up"] is None)
+        # an axis wraps when the rank is its own neighbour on both sides
         self.wrap = tuple(nb[a] == nb[b] == tile.rank
                           for a, b in (("left", "right"), ("down", "up")))
         self.faces = self._face_table()
@@ -253,7 +250,7 @@ class RankWorker:
                 f"rank {t.rank}: tile Y extent {g.Ly} is narrower than the "
                 f"{WALL_ROWS} wall rows")
         strides = (g.NX * g.NY, g.NY, 1)   # (l, x, y)
-        lo, hi = g.clamp_rows(self.wall_rows, self.wrap[1])
+        lo, hi = g.pull_ranges(self.wall_rows, self.wrap)[1]
         spans = (np.arange(lo, hi + 1), np.arange(g.Hx, g.Hx + g.Lx))
         faces = {}
         for (axis, sign), (to, frm) in _FACES.items():

@@ -304,6 +304,27 @@ def test_misspelt_init_parameter_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("init, line, rc", [
+    ("random", "amplitude: abc", 2), ("random", "seed: 1.5", 2),
+    ("random", "seed: true", 2), ("taylor-green", "u0: true", 2),
+    ("rayleigh-taylor", "T_hot: hot", 2), ("random", "amplitude: 0", 0),
+    ("rayleigh-taylor", "T_cold: null", 0), ("rayleigh-taylor", "T_hot: 1", 0)])
+def test_init_parameter_of_the_wrong_kind_is_config_error(tmp_path, capsys,
+                                                          init, line, rc):
+    # each value has the kind of the preset's default: a number for a
+    # float, an integer for seed, a number or null for T_hot and T_cold;
+    # a bool is never a number
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(f"lx: 8\nly: 8\nsteps: 1\ninit: {init}\n"
+                       f"walls: false\ninit_kwargs:\n  {line}\n")
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--outdir", str(tmp_path / "o")]) == rc
+    err = capsys.readouterr().err
+    key = line.split(":")[0]
+    assert (f"{init!r} parameter {key!r} must be" in err) == bool(rc)
+    assert "Traceback" not in err
+
+
 def test_simulate_layout_flag_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["simulate", "--lx", "8", "--ly", "8", "--layout", "aos",

@@ -8,7 +8,9 @@ from thermolb import (LatticeGeometry, PhysicsParams, allocate_field,
                       apply_shift, bc, build_velocity_set, collide,
                       equilibrium, moments, native, propagate,
                       propagate_collide_fused)
+from thermolb.geometry import same_bits
 from thermolb.init import build_initial_state
+from thermolb.kernels import wall_rows
 from thermolb.errors import (ContractViolation, DegenerateStateError,
                              DomainError)
 from conftest import beyond_walls, periodic_fill, random_state
@@ -228,6 +230,45 @@ def test_propagate_region_must_be_physical(d2q9):
     g, prv, nxt = make_pair(d2q9)
     with pytest.raises(ContractViolation):
         propagate(prv, nxt, d2q9, (slice(0, g.NX), g.phys_y))
+
+
+def _propagate_boxes(g):
+    """The whole tile, then boxes crossing the bottom and the top wall rows,
+    both touching an X edge."""
+    xs, ys = g.phys_x, g.phys_y
+    return [(xs, ys),
+            (slice(g.Hx, g.Hx + 3), slice(g.Hy + 1, g.Hy + 5)),
+            (slice(g.Hx + 4, g.Hx + g.Lx), slice(g.Hy + g.Ly - 4, g.Hy + g.Ly))]
+
+
+@pytest.mark.parametrize("model", ["D2Q9", "D2Q37"])
+@pytest.mark.parametrize("walled", [False, True])
+def test_propagate_maps_pulls_like_filled_halos(model, walled):
+    # wrap=(True, True) pulls as plain propagate does on a copy whose halos
+    # hold the periodic copy; with bottom and top walls and X wrapped, as on
+    # a copy with periodic X halos whose rows beyond each wall repeat the
+    # edge row.  The halos of the field pulled from hold NaN: they are never
+    # read.
+    vs = build_velocity_set(model)
+    g, prv, nxt = make_pair(vs, 8, 10)
+    prv.pops[...] = random_state(g, vs, seed=37)
+    filled = type(prv)(g, prv.pops.copy())
+    periodic_fill(filled)
+    walls = ()
+    if walled:
+        walls = wall_rows(g, PhysicsParams(tau=0.8), True, True)
+        below, above = beyond_walls(filled)
+        below[...] = filled.pops[:, :, g.Hy:g.Hy + 1]
+        above[...] = filled.pops[:, :, g.Hy + g.Ly - 1:g.Hy + g.Ly]
+    physical = prv.pops[:, g.phys_x, g.phys_y].copy()
+    prv.pops[...] = np.nan
+    prv.pops[:, g.phys_x, g.phys_y] = physical
+    ref = type(nxt)(g)
+    propagate(filled, ref, vs)
+    for xs, ys in _propagate_boxes(g):
+        nxt.pops[...] = 0.0
+        propagate(prv, nxt, vs, (xs, ys), walls, (True, not walled))
+        assert same_bits(nxt.pops[:, xs, ys], ref.pops[:, xs, ys])
 
 
 # --------------------------------------------------------------------- bc --

@@ -27,9 +27,10 @@ def test_decompose_2d_grid():
     assert t5.coords == (1, 1)
     assert t5.x0 == 900 and t5.y0 == 900
     assert t5.neighbors == {"left": 4, "right": 6, "up": 9, "down": 1}
-    assert not t5.uppermost and not t5.lowermost
-    assert tiles[0].lowermost and tiles[0].neighbors["down"] is None
-    assert tiles[15].uppermost and tiles[15].neighbors["up"] is None
+    # only the chain's end rows lack a Y neighbour: those tiles hold walls
+    ends = [[t.rank for t in tiles if t.neighbors[side] is None]
+            for side in ("down", "up")]
+    assert ends == [[0, 1, 2, 3], [12, 13, 14, 15]]
 
 
 def test_decompose_1d_ring():
@@ -37,7 +38,8 @@ def test_decompose_1d_ring():
     assert [t.grid for t in tiles] == [(4, 1)] * 4
     assert tiles[0].neighbors["left"] == 3       # periodic X ring
     assert tiles[3].neighbors["right"] == 0
-    assert all(t.uppermost and t.lowermost for t in tiles)
+    assert all(t.neighbors["up"] is None and t.neighbors["down"] is None
+               for t in tiles)
     assert [t.x0 for t in tiles] == [0, 16, 32, 48]
 
 
@@ -45,7 +47,8 @@ def test_decompose_periodic_y_ring():
     tiles = decompose(16, 16, 4, (1, 4), periodic_y=True)
     assert tiles[0].neighbors["down"] == 3
     assert tiles[3].neighbors["up"] == 0
-    assert not any(t.uppermost or t.lowermost for t in tiles)
+    assert all(None not in (t.neighbors["up"], t.neighbors["down"])
+               for t in tiles)
 
 
 def test_decompose_rejects_indivisible():
@@ -270,8 +273,8 @@ def test_exchange_fills_halos_like_a_padded_lattice(model, layout, Np, tiling,
                 assert np.all(np.isnan(np.take(got, halo, axis=1 + axis)))
                 reach[axis][:, halo] = False
         mask = reach[0][:, :, None] & reach[1][:, None, :]
-        beyond = ([slice(0, H)] if t.lowermost else []) + \
-            ([slice(H + g.Ly, None)] if t.uppermost else [])
+        beyond = ([slice(0, H)] if t.neighbors["down"] is None else []) + \
+            ([slice(H + g.Ly, None)] if t.neighbors["up"] is None else [])
         for rows in beyond:
             mask[:, :, rows] = False
             assert np.all(np.isnan(got[:, :, rows]))
@@ -286,7 +289,7 @@ def test_wall_rank_x_faces_stop_at_the_clamp_rows(model):
     vs = build_velocity_set(model)
     for t in decompose(12, 16, 2, (1, 2)):
         w = make_worker(t, vs, Fabric(2))
-        lo, hi = w.geom.clamp_rows(w.wall_rows)
+        lo, hi = w.geom.pull_ranges(w.wall_rows, w.wrap)[1]
         assert (lo, hi) != (0, w.geom.NY - 1)
         for sign in (1, -1):
             face = w.faces[(0, sign)]
