@@ -5,7 +5,7 @@
    tlb_fused is the compiled form of thermolb.kernels.propagate_collide_fused;
    tlb_equilibrium and tlb_moments are those of kernels.equilibrium and
    kernels.moments.  Every expression mirrors its numpy counterpart in
-   kernels.py (_gather, _wall_equilibrium, moments, apply_shift, equilibrium,
+   kernels.py (propagate, _rewrite_walls, moments, apply_shift, equilibrium,
    collide) term for term, with the same association, and sums over the
    populations in the same order.  One accumulator, moment_sums, gives the
    density of the wall rows and the collision moments in tlb_fused and the
@@ -268,7 +268,7 @@ moment_sums(const tlb_model *m, const double *f, int64_t lstride,
     }
 }
 
-/* One block: wall rewrite (kernels._wall_equilibrium, once per covering
+/* One block: wall rewrite (kernels._rewrite_walls, once per covering
    wall, in order), then moments, force shift, equilibrium and BGK. */
 static int relax_block(const tlb_model *m, const tlb_work *W, int64_t n,
                        int nw)
@@ -366,7 +366,7 @@ static inline void pull_run(const double *line, int64_t st, const int64_t *a,
 
 /* Pull gather of a block's runs: f[l][j] = src[l, x - c_lx, y - c_ly] for
    the j-th site, with each pulled coordinate mapped into its axis's range
-   (kernels._gather).  A run maps the coordinate it does not run along
+   (kernels.propagate).  A run maps the coordinate it does not run along
    once, and reads along the other in pieces (pull_run). */
 static void gather(const double *src, const int64_t *st, const int64_t *c,
                    int Q, int rows, const int64_t *runs, int nrun,
@@ -826,31 +826,33 @@ static char *put_repr(char *p, double v, const uint64_t *pow5)
     return p + put_digits(p, (uint64_t)e);
 }
 
-/* The rows "x,y,rho,ux,uy,T\r\n" of the sites 0 <= y < Ly at x >= 0 of
-   (Lx, Ly) C-contiguous fields, written as csv.writer writes them with each
-   value as its repr.  out must hold Ly * 143 bytes: two integers of at most
-   20 bytes, four floats of at most 24, five commas and "\r\n".  Returns the
-   number of bytes written. */
+/* The rows "x,y,rho,ux,uy,T\r\n" of the sites x0 <= x < x1, 0 <= y < Ly of
+   (Lx, Ly) C-contiguous fields, x-major, written as csv.writer writes them
+   with each value as its repr.  out must hold (x1 - x0) * Ly * 143 bytes:
+   two integers of at most 20 bytes, four floats of at most 24, five commas
+   and "\r\n" per row.  Returns the number of bytes written. */
 int64_t tlb_csv_rows(const double *rho, const double *ux, const double *uy,
-                     const double *T, int64_t Ly, int64_t x,
+                     const double *T, int64_t Ly, int64_t x0, int64_t x1,
                      const uint64_t *pow5, char *out)
 {
     char *p = out;
-    for (int64_t y = 0; y < Ly; y++) {
-        const int64_t j = x * Ly + y;
-        p += put_digits(p, (uint64_t)x);
-        *p++ = ',';
-        p += put_digits(p, (uint64_t)y);
-        *p++ = ',';
-        p = put_repr(p, rho[j], pow5);
-        *p++ = ',';
-        p = put_repr(p, ux[j], pow5);
-        *p++ = ',';
-        p = put_repr(p, uy[j], pow5);
-        *p++ = ',';
-        p = put_repr(p, T[j], pow5);
-        *p++ = '\r';
-        *p++ = '\n';
+    for (int64_t x = x0; x < x1; x++) {
+        for (int64_t y = 0; y < Ly; y++) {
+            const int64_t j = x * Ly + y;
+            p += put_digits(p, (uint64_t)x);
+            *p++ = ',';
+            p += put_digits(p, (uint64_t)y);
+            *p++ = ',';
+            p = put_repr(p, rho[j], pow5);
+            *p++ = ',';
+            p = put_repr(p, ux[j], pow5);
+            *p++ = ',';
+            p = put_repr(p, uy[j], pow5);
+            *p++ = ',';
+            p = put_repr(p, T[j], pow5);
+            *p++ = '\r';
+            *p++ = '\n';
+        }
     }
     return p - out;
 }

@@ -3,8 +3,8 @@
 Four entry points: tlb_fused, the step (through Plan); tlb_equilibrium and
 tlb_moments, the whole-array forms of kernels.equilibrium and
 kernels.moments (through equilibrium and moments below); tlb_csv_rows, the
-snapshot CSV's rows with each float as the bytes of its repr (through
-csv_rows below, for io.write_macro_csv).
+snapshot CSV's rows of an x range with each float as the bytes of its repr
+(through csv_rows below, for io.write_macro_csv).
 
 The shared library is compiled once per machine with the system C compiler
 into ``$XDG_CACHE_HOME/thermolb`` (default ``~/.cache/thermolb``).  Its file
@@ -114,7 +114,7 @@ def _build_and_load():
                                 model, ptr, ptr, ptr, ptr]
     lib.tlb_moments.restype = ctypes.c_int
     lib.tlb_csv_rows.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_int64,
-                                 ctypes.c_int64, ptr, ptr]
+                                 ctypes.c_int64, ctypes.c_int64, ptr, ptr]
     lib.tlb_csv_rows.restype = ctypes.c_int64
     return lib
 
@@ -329,22 +329,24 @@ CSV_MAX_ROW = 2 * 20 + 4 * 24 + 5 + 2
 
 def csv_rows(fields):
     """tlb_csv_rows over fields, the four (Lx, Ly) float64 arrays rho, ux, uy
-    and T: a function of x that returns the CSV rows of that x as a
-    memoryview of one reused buffer of Ly * CSV_MAX_ROW bytes, valid until
-    the next call.  None when the library is unavailable or the fields are
-    not C-contiguous float64 arrays of one 2-d shape."""
+    and T: a function rows(x0, x1=x0 + 1) that returns the CSV rows of
+    x0 <= x < x1 as a memoryview of a buffer of its own, of
+    (x1 - x0) * Ly * CSV_MAX_ROW bytes, so that chunks formatted at once on
+    several threads do not share one.  None when the library is unavailable
+    or the fields are not C-contiguous float64 arrays of one 2-d shape."""
     lib = load()
     shape = np.shape(fields[0])
     if (lib is None or len(shape) != 2 or not _float64_sites(fields)
             or not all(a.flags.c_contiguous for a in fields)):
         return None
     Ly = shape[1]
-    buf = np.empty(Ly * CSV_MAX_ROW, dtype=np.uint8)
-    view = memoryview(buf)
     data = [a.ctypes.data for a in fields]
-    tables, out = _POW5.ctypes.data, buf.ctypes.data
+    tables = _POW5.ctypes.data
 
-    def rows(x):
-        return view[:lib.tlb_csv_rows(*data, Ly, x, tables, out)]
+    def rows(x0, x1=None):
+        x1 = x0 + 1 if x1 is None else x1
+        buf = np.empty((x1 - x0) * Ly * CSV_MAX_ROW, dtype=np.uint8)
+        return memoryview(buf)[:lib.tlb_csv_rows(*data, Ly, x0, x1, tables,
+                                                 buf.ctypes.data)]
     rows.fields = fields    # keeps the arrays behind data alive
     return rows

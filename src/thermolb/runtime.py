@@ -30,6 +30,8 @@ every call passes prebuilt kernel arguments; the kernel also returns the
 step's count of negative populations.
 """
 
+import contextlib
+import os
 import queue
 import threading
 import time
@@ -53,6 +55,25 @@ from .velocity_set import VelocitySet
 
 DEFAULT_HALO = 3
 _POLL = 0.05
+
+
+def bindable_cpus():
+    """The CPUs the calling thread may run on, sorted; empty where the
+    platform cannot bind a thread to a CPU."""
+    if not hasattr(os, "sched_setaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def bind_thread(cpus, k):
+    """Bind the calling thread to CPU cpus[k mod len(cpus)], as an MPI
+    launcher binds ranks to cores: unbound, the scheduler can keep two busy
+    threads on one core for a whole job while another idles.  With at most
+    one CPU in cpus, or when the kernel refuses (OSError), the thread stays
+    as it is."""
+    if len(cpus) > 1:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
 
 
 @dataclass

@@ -1,7 +1,5 @@
 """Run orchestration: spawn rank threads, collect metrics, gather the state."""
 
-import contextlib
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -12,7 +10,8 @@ from .errors import ConfigurationError, PeerAbortedError, ThermoLBError
 from .geometry import MacroFields
 from .init import build_initial_state
 from .kernels import PhysicsParams, check_density, moments
-from .runtime import DEFAULT_HALO, Fabric, RankWorker, decompose
+from .runtime import (DEFAULT_HALO, Fabric, RankWorker, bind_thread,
+                      bindable_cpus, decompose)
 from .velocity_set import build_velocity_set
 
 
@@ -101,19 +100,15 @@ def run(cfg: SimConfig) -> RunResult:
     snaps = {s: MacroFields(*(np.empty((cfg.Lx, cfg.Ly)) for _ in range(4)))
              for s in range(every, cfg.steps, every)} if every else {}
 
-    # Rank r's thread is bound to CPU r (mod the process's CPUs), as an MPI
-    # launcher binds ranks to cores: unbound, the scheduler can keep two
-    # busy rank threads on one core for a whole job while another idles,
-    # and the ranks then take turns at every step.
-    cpus = (sorted(os.sched_getaffinity(0))
-            if cfg.Np > 1 and hasattr(os, "sched_setaffinity") else [])
+    # Rank r's thread is bound to CPU r (mod the process's CPUs): unbound,
+    # the ranks can share one core and take turns at every step.  One rank
+    # is not bound.
+    cpus = bindable_cpus() if cfg.Np > 1 else []
 
     def worker_loop(w):
         t = w.tile
         sites = (slice(t.x0, t.x0 + t.Lx), slice(t.y0, t.y0 + t.Ly))
-        if len(cpus) > 1:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, {cpus[t.rank % len(cpus)]})
+        bind_thread(cpus, t.rank)
         try:
             for s in range(cfg.steps):
                 if fabric.abort.is_set():

@@ -1,9 +1,17 @@
+import functools
+import os
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from thermolb import native
+from thermolb import io, native
 from thermolb.geometry import MacroFields
 from thermolb.io import write_macro_csv
+from thermolb.runtime import bindable_cpus
 
 from conftest import csv_writer_macro
 
@@ -141,3 +149,157 @@ def test_write_macro_csv_compiled_matches_python_writer(compiled, tmp_path,
     write_macro_csv(tmp_path / "python.csv", macro)
     assert ((tmp_path / "compiled.csv").read_bytes()
             == (tmp_path / "python.csv").read_bytes())
+
+
+# ------------------------------ chunked writer (x chunks on bound threads) --
+
+@pytest.fixture(params=["compiled", "python"])
+def formatter(request, monkeypatch):
+    """write_macro_csv's formatter: the compiled tlb_csv_rows, or the Python
+    rows it falls back to without the compiled library."""
+    if request.param == "compiled":
+        if native.load() is None:
+            pytest.skip("no C compiler here: the compiled kernel is "
+                        "unavailable")
+    else:
+        monkeypatch.setattr(native, "_lib", None)
+    return request.param
+
+
+def random_macro(Lx, Ly, seed=17):
+    rng = np.random.default_rng(seed)
+    return MacroFields(*(rng.integers(0, 2**64, (Lx, Ly), dtype=np.uint64)
+                         .view(np.float64) for _ in range(4)))
+
+
+def writer_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("write_macro_csv")]
+
+
+def assert_writes_csv_writer_bytes(tmp_path, Lx, Ly=5):
+    macro = random_macro(Lx, Ly)
+    write_macro_csv(tmp_path / "new.csv", macro)
+    csv_writer_macro(tmp_path / "ref.csv", macro)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+    assert not writer_threads()
+
+
+def process_workers():
+    return max(1, len(bindable_cpus()))
+
+
+@pytest.mark.parametrize("Lx", [1, 37])
+def test_chunked_writer_matches_csv_writer(formatter, tmp_path, Lx):
+    # one x, and a prime x extent whose last chunk is shorter
+    assert_writes_csv_writer_bytes(tmp_path, Lx)
+
+
+def test_chunked_writer_exact_multiple_of_the_chunk(formatter, tmp_path):
+    Lx = 3 * io._CHUNKS_PER_WORKER * process_workers()
+    assert {x1 - x0 for x0, x1 in io._x_chunks(Lx, process_workers())} == {3}
+    assert_writes_csv_writer_bytes(tmp_path, Lx)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs thread CPU affinity")
+@pytest.mark.parametrize("Lx", [3, 40])
+def test_chunked_writer_eight_cpus_on_offer(formatter, tmp_path, monkeypatch,
+                                            Lx):
+    # more threads than cores, switching often: one thread per CPU, or per
+    # x when there are fewer x (one x a chunk); binding to a CPU the
+    # process does not have fails, and that thread stays unbound
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    bound = []
+    bind = io.bind_thread
+
+    def recorded(cpus, k):
+        bound.append(k)
+        bind(cpus, k)
+
+    monkeypatch.setattr(io, "bind_thread", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert_writes_csv_writer_bytes(tmp_path, Lx)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(bound) == list(range(min(8, Lx)))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs thread CPU affinity")
+def test_chunked_writer_on_one_cpu(formatter, tmp_path):
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert_writes_csv_writer_bytes(tmp_path, 37)
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs to bind threads to")
+def test_chunked_writer_threads_bound_to_their_own_cpus(tmp_path,
+                                                        monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    seen = {}
+    bind = io.bind_thread
+
+    def recorded(cpus, k):
+        bind(cpus, k)
+        seen[k] = os.sched_getaffinity(0)
+
+    monkeypatch.setattr(io, "bind_thread", recorded)
+    write_macro_csv(tmp_path / "m.csv", random_macro(40, 3))
+    assert seen == {k: {cpus[k]} for k in range(len(cpus))}
+    assert os.sched_getaffinity(0) == set(cpus)
+
+
+class ChunkFailed(Exception):
+    pass
+
+
+def test_chunked_writer_raises_a_chunk_error_after_its_threads_stop(
+        formatter, tmp_path, monkeypatch):
+    # the first chunk fails at once while the others take a while: the
+    # caller gets that exception, and no writer thread outlives the call
+    failure = ChunkFailed("chunk 0")
+
+    def slow_or_failing(rows, x0, x1):
+        if x0 == 0:
+            raise failure
+        time.sleep(0.05)
+        return rows(x0, x1)
+
+    if formatter == "compiled":
+        csv_rows = native.csv_rows
+        monkeypatch.setattr(native, "csv_rows", lambda fields: (
+            functools.partial(slow_or_failing, csv_rows(fields))))
+    else:
+        python_rows = io._python_rows
+        monkeypatch.setattr(io, "_python_rows", lambda fields, x0, x1: (
+            slow_or_failing(functools.partial(python_rows, fields), x0, x1)))
+    with pytest.raises(ChunkFailed) as raised:
+        write_macro_csv(tmp_path / "m.csv", random_macro(37, 5))
+    assert raised.value is failure
+    assert not writer_threads()
+
+
+def test_chunked_writer_memory_bounded_by_the_chunks(compiled, tmp_path,
+                                                     monkeypatch):
+    # at most two chunks per thread in flight, of a sixteenth of the x range
+    # per thread: on up to four threads the peak stays far below the file,
+    # which holding every chunk at once would exceed
+    monkeypatch.setattr(io, "bindable_cpus", lambda: bindable_cpus()[:4])
+    macro = random_macro(256, 256)
+    tracemalloc.start()
+    try:
+        write_macro_csv(tmp_path / "m.csv", macro)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "m.csv").stat().st_size
+    assert peak < size / 3, (peak, size)
