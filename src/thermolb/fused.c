@@ -14,26 +14,23 @@
    multiply-add), each value is rounded exactly as numpy rounds it, so both
    paths give the same bits.
 
-   The equilibria of a population and of its opposite (the hop negated,
-   tlb_model.opp) come from one call of feq_pair, in a loop over the lead
-   populations, l <= opp[l].  Negating the hop negates p = e.v exactly, or
-   leaves it +0 when the sum cancels to zero.  (-a) b = -(a b) exactly, and
-   a NaN keeps its bits through a product whatever the sign of the other
-   factor, so every term even in p (c2, c4 and c4 / 24) has the same bits
-   for both populations, infinities and NaNs included.  Those are computed
-   once per pair; c3, odd in p, and each population's sum are computed as
-   numpy computes them.  On D2Q37 tiles this costs 14-17% less per site
-   than one equilibrium per population (BENCH_collide_pairs.json).
-
-   One pair loop, pair_loop, serves the wall rows, the collision and
-   tlb_equilibrium: a flag picks writing the equilibria or relaxing f toward
-   them, and hermite_inputs gives all three their v, theta and s.  The
-   order, the flag and the inputs' stride are constants at every call, so
-   each use compiles to its own loop.  Read at run time, the order made
-   every tile 1.6-2.7x slower per site; the wall rows read their zero
-   velocity and Twall as one set for the whole segment, since per-site
-   copies made rt37-halo's tile 3% slower, faster in 2 of 40 reps
-   (BENCH_pair_loop.json).
+   The equilibrium is the Hermite form of kernels.equilibrium: with
+   p = e.v, f^eq = w rho (E + p (a1 + p^2 / 6)), E = a0 + p^2 (a2 + p^2 / 24),
+   where a0, a1 and a2 depend on the site and the shell q = |e|^2 alone.
+   pair_loop takes the shells (tlb_model's table) outside, their lead
+   populations l <= opp[l] next and the sites inside: a shell's coefficients
+   are computed once per site (shell_coeffs), and one call of feq_pair gives
+   a lead and its opposite.  Negating the hop negates p exactly, or leaves
+   it +0, and a NaN keeps its bits through a product, so E and the odd
+   part's bracket, even in p, are computed once per pair; p times the
+   bracket and each population's sum are computed as numpy computes them.
+   Against c2, c3 and c4 rebuilt per pair, this costs about 20% less per
+   D2Q37 site (BENCH_shell_coeffs.json).  The same loop serves the wall
+   rows, the collision and tlb_equilibrium: a flag picks writing the
+   equilibria or relaxing f toward them.  The order, the flag and the
+   inputs' stride are constants at every call, so each use compiles to its
+   own loop; the wall rows read their zero velocity and Twall as one set
+   for the whole segment (BENCH_pair_loop.json).
 
    Each region is split at the wall boundaries into segments, and the sites
    of a segment are taken in blocks of BLOCK: x-major, y-minor, or, in a
@@ -69,6 +66,9 @@
 #define BLOCK 256
 /* Segments lower than this many rows are taken row-major (see above). */
 #define THIN_ROWS 8
+/* The 1/6 and 1/24 of p^3 / 6 and p^4 / 24, as kernels.py writes them. */
+#define INV6 (1.0 / 6.0)
+#define INV24 (1.0 / 24.0)
 
 /* Any nonzero status makes the caller rerun the regions on the numpy path,
    which raises the matching typed error. */
@@ -86,6 +86,9 @@ typedef struct {
     const int64_t *c;        /* (Q, 2) lattice hops */
     const double *w;         /* (Q,) quadrature weights */
     const int *opp;          /* (Q,) index of the negated hop */
+    int nshell;              /* shells of equal |c|^2, in increasing order */
+    const int *lead;         /* lead populations l <= opp[l], shell by shell */
+    const int *shell_end;    /* (nshell,) end of each shell's leads in lead */
     double cs2;
     double shift_u;          /* tau gx */
     double shift_v;          /* tau gy */
@@ -101,47 +104,43 @@ typedef struct {
     double cs;
 } tlb_work;
 
-/* kernels.equilibrium at one site for population l, with hop (ex, ey) / cs
-   and weight wl, into *eq, and for its opposite, with hop -(ex, ey) / cs
-   and weight wb, into *eqb; c2 and c4 are shared (see the top of the
-   file).  A population that is its own opposite ignores *eqb, which the
-   compiler then drops. */
+/* kernels.shell_coefficients of shell q at one site with inputs theta and
+   s: a0, a1 from order 3 and a2 at order 4 (feq_pair writes the lower
+   orders' a1 = 1 and a2 = 1/2 in). */
+static inline __attribute__((always_inline)) void
+shell_coeffs(const int order, double q, double theta, double s, double *a0,
+             double *a1, double *a2)
+{
+    const double D = 2.0, tq = theta * q;
+    *a0 = 1.0 + 0.5 * (tq - (s + D * theta));
+    if (order >= 3)
+        *a1 = 1.0 + 0.5 * (tq - (s + (D + 2.0) * theta));
+    if (order >= 4) {
+        const double th2 = theta * theta;
+        const double K = 3.0 * (tq * tq)
+                         - 6.0 * (tq * s + th2 * ((D + 2.0) * q))
+                         + 3.0 * (s * s + (2.0 * D + 4.0) * theta * s
+                                  + D * (D + 2.0) * th2);
+        *a0 = *a0 + K * INV24;
+        *a2 = 0.5 + 0.25 * (tq - (s + (D + 4.0) * theta));
+    }
+}
+
+/* kernels.equilibrium at one site from its shell's coefficients, for the
+   hop (ex, ey) / cs of weight wl into *eq and for its negation, of weight
+   wb, into *eqb.  A population that is its own opposite ignores *eqb, which
+   the compiler then drops. */
 static inline __attribute__((always_inline)) void
 feq_pair(const int order, double wl, double wb, double ex, double ey,
-         double q, double rho, double vx, double vy, double theta, double s,
+         double rho, double vx, double vy, double a0, double a1, double a2,
          double *eq, double *eqb)
 {
-    const double D = 2.0;
-    const double p = ex * vx + ey * vy;
-    const double pb = -ex * vx + -ey * vy;
-    double poly = 1.0 + p, polyb = 1.0 + pb;
-    const double c2 = p * p + theta * q - (s + D * theta);
-    poly = poly + 0.5 * c2;
-    polyb = polyb + 0.5 * c2;
-    if (order >= 3) {
-        const double c3 = p * p * p + 3.0 * theta * q * p
-                          - 3.0 * p * (s + (D + 2.0) * theta);
-        const double c3b = pb * pb * pb + 3.0 * theta * q * pb
-                           - 3.0 * pb * (s + (D + 2.0) * theta);
-        poly = poly + c3 / 6.0;
-        polyb = polyb + c3b / 6.0;
-    }
-    if (order >= 4) {
-        const double c4 = p * p * p * p
-                          + 6.0 * theta * q * p * p
-                          + 3.0 * theta * theta * q * q
-                          - 6.0 * (s * p * p
-                                   + theta * ((D + 4.0) * p * p + q * s)
-                                   + theta * theta * (D + 2.0) * q)
-                          + 3.0 * (s * s
-                                   + (2.0 * D + 4.0) * theta * s
-                                   + D * (D + 2.0) * theta * theta);
-        const double c4s = c4 / 24.0;
-        poly = poly + c4s;
-        polyb = polyb + c4s;
-    }
-    *eq = wl * rho * poly;
-    *eqb = wb * rho * polyb;
+    const double p = ex * vx + ey * vy, pb = -ex * vx + -ey * vy;
+    const double p2 = p * p;
+    const double E = a0 + p2 * (order >= 4 ? a2 + p2 * INV24 : 0.5);
+    const double odd = order >= 3 ? a1 + p2 * INV6 : 1.0;
+    *eq = wl * rho * (E + (order >= 3 ? p * odd : p));
+    *eqb = wb * rho * (E + (order >= 3 ? pb * odd : pb));
 }
 
 /* Per population l: hop[3l], hop[3l+1] = c / cs and hop[3l+2] = |c / cs|^2. */
@@ -168,13 +167,11 @@ static inline void hermite_inputs(double ux, double uy, double T, double cs,
     *s = *vx * *vx + *vy * *vy;
 }
 
-/* The one loop over the lead populations l <= opp[l] (see the top of the
-   file): for each pair and each of n sites j, the equilibria at density
-   rho[j] and Hermite inputs vx, vy, theta and s at index j * vstride,
-   where vstride 0 gives all sites one set (the wall rows).  They are
-   written to f[l * lstride + j] when relax is 0; when it is 1, f is
-   relaxed toward them at rate m->omega (BGK).  order, relax and vstride
-   are constants at every call. */
+/* The one loop (see the top of the file) over n sites j: the equilibria at
+   density rho[j] and Hermite inputs vx, vy, theta and s at j * vstride
+   (vstride 0: one set for all sites, the wall rows), written to
+   f[l * lstride + j] when relax is 0, or f relaxed toward them at rate
+   m->omega (BGK) when it is 1. */
 static inline __attribute__((always_inline)) void
 pair_loop(const int order, const int relax, const int64_t vstride,
           const tlb_model *m, const double *hop, int64_t n,
@@ -183,31 +180,34 @@ pair_loop(const int order, const int relax, const int64_t vstride,
           const double *restrict s, double *f, int64_t lstride)
 {
     const double omega = relax ? m->omega : 0.0;
-    for (int l = 0; l < m->Q; l++) {
-        const int b = m->opp[l];
-        if (b < l)
-            continue;
-        double *restrict fl = f + (int64_t)l * lstride;
-        const double wl = m->w[l], ex = hop[3 * l], ey = hop[3 * l + 1];
-        const double q = hop[3 * l + 2];
-        if (b == l) {
-            for (int64_t j = 0; j < n; j++) {
-                double eq, unused;
-                feq_pair(order, wl, wl, ex, ey, q, rho[j], vx[j * vstride],
-                         vy[j * vstride], theta[j * vstride], s[j * vstride], &eq,
-                         &unused);
-                fl[j] = relax ? fl[j] - omega * (fl[j] - eq) : eq;
-            }
-        } else {
-            double *restrict fb = f + (int64_t)b * lstride;
-            const double wb = m->w[b];
-            for (int64_t j = 0; j < n; j++) {
-                double eq, eqb;
-                feq_pair(order, wl, wb, ex, ey, q, rho[j], vx[j * vstride],
-                         vy[j * vstride], theta[j * vstride], s[j * vstride], &eq,
-                         &eqb);
-                fl[j] = relax ? fl[j] - omega * (fl[j] - eq) : eq;
-                fb[j] = relax ? fb[j] - omega * (fb[j] - eqb) : eqb;
+    double a0[BLOCK], a1[BLOCK], a2[BLOCK];
+    for (int k = 0, i = 0; k < m->nshell; k++) {
+        const double q = hop[3 * m->lead[i] + 2];
+        for (int64_t j = 0; j < (vstride ? n : 1); j++)
+            shell_coeffs(order, q, theta[j], s[j], a0 + j, a1 + j, a2 + j);
+        for (; i < m->shell_end[k]; i++) {
+            const int l = m->lead[i], b = m->opp[l];
+            double *restrict fl = f + (int64_t)l * lstride;
+            const double wl = m->w[l], ex = hop[3 * l], ey = hop[3 * l + 1];
+            if (b == l) {
+                for (int64_t j = 0; j < n; j++) {
+                    const int64_t v = j * vstride;
+                    double eq, unused;
+                    feq_pair(order, wl, wl, ex, ey, rho[j], vx[v], vy[v],
+                             a0[v], a1[v], a2[v], &eq, &unused);
+                    fl[j] = relax ? fl[j] - omega * (fl[j] - eq) : eq;
+                }
+            } else {
+                double *restrict fb = f + (int64_t)b * lstride;
+                const double wb = m->w[b];
+                for (int64_t j = 0; j < n; j++) {
+                    const int64_t v = j * vstride;
+                    double eq, eqb;
+                    feq_pair(order, wl, wb, ex, ey, rho[j], vx[v], vy[v],
+                             a0[v], a1[v], a2[v], &eq, &eqb);
+                    fl[j] = relax ? fl[j] - omega * (fl[j] - eq) : eq;
+                    fb[j] = relax ? fb[j] - omega * (fb[j] - eqb) : eqb;
+                }
             }
         }
     }
@@ -495,7 +495,7 @@ int tlb_fused(const double *src, double *dst, const int64_t *strides,
 
 /* kernels.equilibrium of n sites: out[l * n + j] = f^eq_l(rho[j], ux[j],
    uy[j], T[j]) at m->order, which the caller guarantees is 2, 3 or 4.  Only
-   Q, order, c, w, opp and cs2 of m are read. */
+   Q, order, c, w, opp, the shell table and cs2 of m are read. */
 void tlb_equilibrium(const double *rho, const double *ux, const double *uy,
                      const double *T, int64_t n, const tlb_model *m,
                      double *out)

@@ -89,12 +89,46 @@ def moments(f, vs: VelocitySet, check=True):
     return rho, ux, uy, T
 
 
+# The 1/6 of p^3 / 6 and the 1/24 of p^4 / 24 (INV6 and INV24 in fused.c).
+INV6 = 1.0 / 6.0
+INV24 = 1.0 / 24.0
+
+
+def shell_coefficients(q, theta, s, order):
+    """The Hermite coefficients (a0, a1, a2) of the shell |e|^2 = q at sites
+    with theta = T / cs2 - 1 and s = |v|^2, v = u / cs (see equilibrium).
+    a1 is None below order 3 and a2 below order 4, where they are 1 and 1/2.
+    """
+    D = 2.0
+    tq = theta * q
+    a0 = 1.0 + 0.5 * (tq - (s + D * theta))
+    a1 = a2 = None
+    if order >= 3:
+        a1 = 1.0 + 0.5 * (tq - (s + (D + 2.0) * theta))
+    if order >= 4:
+        th2 = theta * theta
+        K = (3.0 * (tq * tq)
+             - 6.0 * (tq * s + th2 * ((D + 2.0) * q))
+             + 3.0 * (s * s + (2.0 * D + 4.0) * theta * s
+                      + D * (D + 2.0) * th2))
+        a0 = a0 + K * INV24
+        a2 = 0.5 + 0.25 * (tq - (s + (D + 4.0) * theta))
+    return a0, a1, a2
+
+
 def equilibrium(rho, ux, uy, T, vs: VelocitySet, order=None, check=True):
     """Hermite expansion of the shifted Maxwellian, truncated at `order`.
 
-    Order 4 is supported by the D2Q37 quadrature, order 2 by D2Q9.  At
-    u = 0, T = cs2 the result is exactly rho * w_l.  Float64 arrays of one
-    shape with at least one dimension take the compiled form.
+    Order 4 is supported by the D2Q37 quadrature, order 2 by D2Q9.  With
+    e = c_l / cs, v = u / cs, theta = T / cs2 - 1, s = |v|^2 and p = e.v,
+    the expansion regrouped in powers of p is
+        f_l = w_l rho (a0 + p^2 (a2 + p^2 / 24) + p (a1 + p^2 / 6)),
+    where the coefficients depend on the site and on the shell q = |e|^2
+    alone (shell_coefficients), so they are computed once per shell
+    (native.shells).  Order 3 drops the p^4 term and has a2 = 1/2; order 2
+    also drops the p^3 term and has a1 = 1.  At u = 0, T = cs2 the result is
+    exactly rho * w_l.  Float64 arrays of one shape with at least one
+    dimension take the compiled form.
     """
     if order is None:
         order = vs.eq_order
@@ -111,39 +145,20 @@ def equilibrium(rho, ux, uy, T, vs: VelocitySet, order=None, check=True):
     vy = np.asarray(uy) / cs
     theta = np.asarray(T) / vs.cs2 - 1.0
     s = vx * vx + vy * vy
-    D = 2.0
     out = np.empty((vs.Q,) + rho.shape, dtype=np.float64)
-    for l in range(vs.Q):
-        ex = vs.c[l, 0] / cs
-        ey = vs.c[l, 1] / cs
-        q = ex * ex + ey * ey
-        p = ex * vx + ey * vy
-        poly = 1.0 + p
-        c2 = p * p + theta * q - (s + D * theta)
-        poly = poly + 0.5 * c2
-        if order >= 3:
-            c3 = p * p * p + 3.0 * theta * q * p - 3.0 * p * (s + (D + 2.0) * theta)
-            poly = poly + c3 / 6.0
-        if order >= 4:
-            c4 = (
-                p * p * p * p
-                + 6.0 * theta * q * p * p
-                + 3.0 * theta * theta * q * q
-                - 6.0
-                * (
-                    s * p * p
-                    + theta * ((D + 4.0) * p * p + q * s)
-                    + theta * theta * (D + 2.0) * q
-                )
-                + 3.0
-                * (
-                    s * s
-                    + (2.0 * D + 4.0) * theta * s
-                    + D * (D + 2.0) * theta * theta
-                )
-            )
-            poly = poly + c4 / 24.0
-        out[l] = vs.w[l] * rho * poly
+    e = vs.c / cs
+    for shell in native.shells(vs):
+        ex, ey = e[shell[0][0]]
+        a0, a1, a2 = shell_coefficients(ex * ex + ey * ey, theta, s, order)
+        for l in {l for pair in shell for l in pair}:
+            p = e[l, 0] * vx + e[l, 1] * vy
+            p2 = p * p
+            if order >= 4:
+                even = a0 + p2 * (a2 + p2 * INV24)
+            else:
+                even = a0 + p2 * 0.5
+            odd = p * (a1 + p2 * INV6) if order >= 3 else p
+            out[l] = vs.w[l] * rho * (even + odd)
     return out
 
 

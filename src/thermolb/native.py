@@ -50,7 +50,9 @@ class _Model(ctypes.Structure):
 
     _fields_ = [("Q", ctypes.c_int), ("order", ctypes.c_int),
                 ("c", ctypes.c_void_p), ("w", ctypes.c_void_p),
-                ("opp", ctypes.c_void_p), ("cs2", ctypes.c_double),
+                ("opp", ctypes.c_void_p), ("nshell", ctypes.c_int),
+                ("lead", ctypes.c_void_p), ("shell_end", ctypes.c_void_p),
+                ("cs2", ctypes.c_double),
                 ("shift_u", ctypes.c_double), ("shift_v", ctypes.c_double),
                 ("shift_T", ctypes.c_double), ("omega", ctypes.c_double)]
 
@@ -151,6 +153,37 @@ def _opposites(hops):
     return opp
 
 
+@functools.lru_cache(maxsize=8)
+def _shells(hops):
+    """tlb_model's shell table of the (Q, 2) int64 hops whose bytes are
+    hops: the lead populations l <= opp[l] grouped by shell of equal |c|^2,
+    shells in increasing |c|^2 and leads in increasing l, and the end of
+    each shell's leads in that list."""
+    c = np.frombuffer(hops, dtype=np.int64).reshape(-1, 2)
+    opp = _opposites(hops)
+    norm = (c * c).sum(axis=1)
+    lead, end = [], []
+    for n in np.unique(norm):
+        lead += [l for l in np.flatnonzero(norm == n) if l <= opp[l]]
+        end.append(len(lead))
+    table = (np.array(lead, dtype=np.intc), np.array(end, dtype=np.intc))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def shells(vs):
+    """The shells of vs as kernels.equilibrium and tlb_fused take them: one
+    list of (l, opp[l]) pairs per shell of equal |c|^2, in increasing
+    |c|^2, with l <= opp[l] in increasing l (the rest hop is its own
+    opposite)."""
+    hops = np.ascontiguousarray(vs.c, dtype=np.int64).tobytes()
+    lead, end = _shells(hops)
+    opp = _opposites(hops)
+    return [[(int(l), int(opp[l])) for l in lead[a:b]]
+            for a, b in zip([0, *end[:-1]], end)]
+
+
 def _model(vs, order, params=None):
     """A pointer to the tlb_model of vs at Hermite order.
 
@@ -160,16 +193,19 @@ def _model(vs, order, params=None):
     """
     c = np.ascontiguousarray(vs.c, dtype=np.int64)
     w = np.ascontiguousarray(vs.w, dtype=np.float64)
-    opp = _opposites(c.tobytes())
+    hops = c.tobytes()
+    opp = _opposites(hops)
+    lead, shell_end = _shells(hops)
     terms = (0.0, 0.0, 0.0, 0.0)
     if params is not None:
         g2 = params.gx * params.gx + params.gy * params.gy
         terms = (params.tau * params.gx, params.tau * params.gy,
                  params.tau * params.tau * g2 / 2, 1.0 / params.tau)
     model = ctypes.pointer(_Model(vs.Q, int(order), c.ctypes.data,
-                                  w.ctypes.data, opp.ctypes.data, vs.cs2,
-                                  *terms))
-    model.arrays = (c, w, opp)
+                                  w.ctypes.data, opp.ctypes.data,
+                                  len(shell_end), lead.ctypes.data,
+                                  shell_end.ctypes.data, vs.cs2, *terms))
+    model.arrays = (c, w, opp, lead, shell_end)
     return model
 
 

@@ -7,8 +7,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import same_bits
-from .kernels import PhysicsParams, moments
+from .init import random_near_equilibrium
+from .kernels import PhysicsParams, equilibrium, moments
 from .planner import CostModelInput, factor_pairs, optimal_grid
+from .runtime import Fabric, RankWorker, decompose
 from .sim import SimConfig, run
 from .velocity_set import build_velocity_set, gaussian_moment
 
@@ -152,12 +154,94 @@ def suite_taylor_green(L=64, steps=2000, tau=0.8):
              f"rate={rate:.3e} expected={expected_rate:.3e} rel err={rel:.2%}")]
 
 
+def periodic_states(f0, vs, params, steps):
+    """The physical populations of a periodic one-rank run from the (Q, Lx,
+    Ly) state f0: f0 itself, then the state after each of steps steps (a
+    view of the rank's buffer, valid until the next one is taken)."""
+    Lx, Ly = f0.shape[1:]
+    tile = decompose(Lx, Ly, 1, "1d", periodic_y=True)[0]
+    w = RankWorker(tile, vs, params, Fabric(1), walls=False)
+    w.prv.pops[:, w.geom.phys_x, w.geom.phys_y] = f0
+    yield w.physical_block()
+    for s in range(steps):
+        w.step(s)
+        yield w.physical_block()
+
+
+def shear_wave(L=64, tau=0.8, amplitude=1e-3, first=10, last=110):
+    """A D2Q37 shear wave u_x = amplitude sin(k y), k = 2 pi / L, at rest
+    density and the lattice temperature on a periodic L x L grid: its
+    amplitude, projected on sin(k y), must decay at nu k^2 within 1%, with
+    nu = cs2 (tau - 1/2).  The rate is read from steps first to last, past
+    the transient of the equilibrium start."""
+    vs = build_velocity_set("D2Q37")
+    k = 2.0 * np.pi / L
+    wave = np.sin(k * np.arange(L))
+    shape = (L, L)
+    f0 = equilibrium(np.ones(shape), np.broadcast_to(amplitude * wave, shape),
+                     np.zeros(shape), np.full(shape, vs.cs2), vs)
+    amps = []
+    for n, f in enumerate(periodic_states(f0, vs, PhysicsParams(tau=tau),
+                                          last)):
+        if n in (first, last):
+            ux = moments(f, vs)[1]
+            amps.append(2.0 / L * float(np.sum(ux.mean(axis=0) * wave)))
+    rate = math.log(amps[0] / amps[1]) / (last - first)
+    expected = vs.cs2 * (tau - 0.5) * k * k
+    rel = abs(rate - expected) / expected
+    return (f"shear-wave[D2Q37 {L}^2 tau={tau}]", rel < 0.01,
+            f"rate={rate:.6e} expected={expected:.6e} rel err={rel:.2e}")
+
+
+def body_force(model, tau, g=(3e-4, -1e-3), L=32, steps=10, seed=5):
+    """A body force g on a random near-equilibrium start, periodic L x L
+    grid: every step the total momentum must grow by exactly M g (M the
+    total mass) to 1e-10 relative, and the total energy sum |c|^2 f / 2 by
+    g . P, with P the momentum before the step, to 1e-7 relative (its
+    rounding is that of sums some 1e5 times larger than the step's
+    change).  Both are exact for the shifted-equilibrium force at the
+    stencil's order: the shift tau g moves the momentum, and the
+    temperature shift tau^2 |g|^2 / 2 keeps its kinetic energy out of the
+    heat."""
+    vs = build_velocity_set(model)
+    c = vs.c.astype(float)
+    gv = np.array(g)
+    params = PhysicsParams(tau=tau, gx=g[0], gy=g[1])
+    f0 = random_near_equilibrium(L, L, vs, seed=seed)
+    totals = []
+    for f in periodic_states(f0, vs, params, steps):
+        per_l = f.sum(axis=(1, 2))
+        totals.append((per_l.sum(), c.T @ per_l,
+                       0.5 * float(np.sum(c * c, axis=1) @ per_l)))
+    mass = totals[0][0]
+    dp = de = change = 0.0
+    for (_, p, e), (_, p1, e1) in zip(totals, totals[1:]):
+        dp = max(dp, float(np.max(np.abs(p1 - p - mass * gv)))
+                 / (mass * float(np.hypot(*gv))))
+        de = max(de, abs(e1 - e - float(gv @ p)))
+        change = max(change, abs(e1 - e))
+    de /= change
+    return (f"body-force[{model} tau={tau} {L}^2 {steps} steps]",
+            dp <= 1e-10 and de <= 1e-7,
+            f"momentum rel err={dp:.2e} energy rel err={de:.2e}")
+
+
+BODY_FORCE_TAUS = (0.6, 0.8, 1.3)
+
+
+def suite_physics():
+    return [shear_wave()] + [body_force(model, tau)
+                             for model in ("D2Q37", "D2Q9")
+                             for tau in BODY_FORCE_TAUS]
+
+
 SUITES = {
     "moments": suite_moments,
     "conservation": suite_conservation,
     "rank-invariance": suite_rank_invariance,
     "planner-oracle": suite_planner_oracle,
     "taylor-green": suite_taylor_green,
+    "physics": suite_physics,
 }
 
 

@@ -4,16 +4,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from thermolb import (LatticeGeometry, PhysicsParams, allocate_field,
-                      apply_shift, bc, build_velocity_set, collide,
-                      equilibrium, moments, native, propagate,
-                      propagate_collide_fused)
+from thermolb import (LatticeGeometry, PhysicsParams, SimConfig,
+                      allocate_field, apply_shift, bc, build_velocity_set,
+                      collide, equilibrium, kernels, moments, native,
+                      propagate, propagate_collide_fused, run)
 from thermolb.geometry import same_bits
 from thermolb.init import build_initial_state
 from thermolb.kernels import wall_rows
 from thermolb.errors import (ContractViolation, DegenerateStateError,
                              DomainError)
-from conftest import beyond_walls, periodic_fill, random_state
+from conftest import (beyond_walls, per_population_equilibrium,
+                      periodic_fill, random_state)
 
 
 # ---------------------------------------------------------------- moments --
@@ -112,7 +113,8 @@ def hermite_oracle(rho, u, T, vs, order):
     return out
 
 
-@pytest.mark.parametrize("model,order", [("D2Q37", 4), ("D2Q9", 2)])
+@pytest.mark.parametrize("model,order", [("D2Q37", 4), ("D2Q37", 3),
+                                         ("D2Q37", 2), ("D2Q9", 2)])
 def test_equilibrium_matches_tensor_oracle(model, order, d2q37, d2q9):
     vs = d2q37 if model == "D2Q37" else d2q9
     rng = np.random.default_rng(5)
@@ -124,6 +126,41 @@ def test_equilibrium_matches_tensor_oracle(model, order, d2q37, d2q9):
                           order=order)
         want = hermite_oracle(rho, u, T, vs, order)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_wall_equilibrium_matches_tensor_oracle(d2q37, order):
+    # the wall rows' equilibrium: zero velocity at the wall temperature
+    vs = d2q37
+    params = PhysicsParams(tau=0.8, Twall_bot=0.9 * vs.cs2,
+                           Twall_top=1.1 * vs.cs2, eq_order=order)
+    geom = LatticeGeometry(4, 8, 3, 3, vs.Q)
+    prv, _ = allocate_field(geom, vs)
+    prv.pops[...] = random_state(geom, vs, seed=4)
+    bc(prv, params, vs)
+    for lo, hi, Twall, _ in wall_rows(geom, params, True, True):
+        for x in range(geom.phys_x.start, geom.phys_x.stop):
+            for y in range(lo, hi):
+                got = prv.pops[:, x, y]
+                want = hermite_oracle(got.sum(), np.zeros(2), Twall, vs, order)
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
+
+
+def test_shell_form_drift_against_per_population_terms(monkeypatch):
+    # the equilibrium's shell form rounds differently from the c2, c3 and
+    # c4 it replaced; over 200 Rayleigh-Taylor steps with walls the states
+    # may part by rounding only
+    cfg = SimConfig(Lx=32, Ly=64, model="D2Q37", schedule="staged",
+                    steps=200, init="rayleigh-taylor",
+                    params=PhysicsParams(tau=0.8, gy=-1e-5, Twall_top=0.628,
+                                         Twall_bot=0.768))
+    new = run(cfg).populations
+    with monkeypatch.context() as m:
+        m.setattr(native, "_lib", None)
+        m.setattr(kernels, "equilibrium", per_population_equilibrium)
+        old = run(cfg).populations
+    assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+    assert abs(new.sum() - old.sum()) <= 1e-14 * old.sum()
 
 
 def test_equilibrium_rest_fixed_point(d2q37):

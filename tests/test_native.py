@@ -458,6 +458,42 @@ def test_equilibrium_pairs_match_numpy_bitwise(compiled, monkeypatch, model,
             assert np.isinf(slow).any() and np.isnan(slow).any(), name
 
 
+@pytest.mark.parametrize("model,norms", [("D2Q37", [0, 1, 2, 4, 5, 8, 9, 10]),
+                                         ("D2Q9", [0, 1, 2])])
+def test_shell_table(model, norms):
+    # shells of equal |c|^2 in increasing order, each a list of (lead,
+    # opposite) pairs; every population of a shell has the same q = |c/cs|^2
+    # to the bit, and the pairs cover every population once
+    vs = build_velocity_set(model)
+    shells = native.shells(vs)
+    cs = np.sqrt(vs.cs2)
+    e = vs.c / cs
+    q = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+    seen = []
+    assert len(shells) == len(norms)
+    for shell, norm in zip(shells, norms):
+        members = sorted({l for pair in shell for l in pair})
+        assert all(l <= b and (vs.c[b] == -vs.c[l]).all() for l, b in shell)
+        assert [int(vs.c[l] @ vs.c[l]) for l in members] == [norm] * len(
+            members)
+        assert same_bits(q[members], np.full(len(members), q[members[0]]))
+        seen += members
+    assert sorted(seen) == list(range(vs.Q))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
+def test_rest_state_equilibrium_is_rho_w_exactly(monkeypatch, model, order):
+    vs = build_velocity_set(model)
+    rho = 0.5 + np.random.default_rng(3).random(40)
+    zero = np.zeros_like(rho)
+    T = np.full_like(rho, vs.cs2)
+    want = vs.w[:, None] * rho
+    assert same_bits(equilibrium(rho, zero, zero, T, vs, order=order), want)
+    assert same_bits(numpy_call(monkeypatch, equilibrium, rho, zero, zero, T,
+                                vs, order=order), want)
+
+
 @pytest.mark.parametrize("model", ["D2Q37", "D2Q9"])
 def test_moments_compiled_matches_numpy_bitwise(compiled, monkeypatch, model):
     vs = build_velocity_set(model)
